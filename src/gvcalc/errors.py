@@ -59,9 +59,5 @@ class RadialFoliation(GvError):
     """The radial field is tangent to the foliation everywhere."""
 
 
-class VerificationFails(GvError):
-    """A worked fixture does not satisfy its defining identities as transcribed."""
-
-
 class NotRadialCubicPart(GvError):
     """The degree-3 part of a reduction input is not radial."""

@@ -11,6 +11,10 @@ Rational functions are stored normalized: numerator and denominator coprime,
 denominator monic.  Two equal rational functions therefore have identical
 term dictionaries, and equality is literal dictionary comparison.
 
+Input is validated at the boundary: `MultiPoly(chart, terms)` checks every
+exponent and coerces every coefficient, while internal results, canonical by
+construction, go through the trusted `MultiPoly._raw`, which checks nothing.
+
 All values are immutable after construction and every operation returns a new
 object, so instances can be shared freely between threads.
 """
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import ChartMismatch, GvError, ZeroDenominator
@@ -119,7 +124,11 @@ def _grlex(exp: tuple[int, ...]) -> tuple:
 
 
 class MultiPoly:
-    """A sparse multivariate polynomial attached to a chart."""
+    """A sparse multivariate polynomial attached to a chart.
+
+    The constructor rejects malformed exponents and non-int, non-Fraction
+    coefficients, reduces mod p and drops zeros; `_raw` trusts its input.
+    """
 
     __slots__ = ("chart", "terms")
 
@@ -135,6 +144,14 @@ class MultiPoly:
                 clean[exp] = c
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _raw(cls, chart: Chart, terms: dict) -> "MultiPoly":
+        """Trusted constructor: exponents well formed, coefficients canonical and nonzero."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "chart", chart)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     def __setattr__(self, *a) -> None:  # pragma: no cover - guard only
         raise AttributeError("MultiPoly is immutable")
@@ -200,7 +217,7 @@ class MultiPoly:
                 e2 = list(e)
                 e2[v] = 0
                 out[tuple(e2)] = c
-        return MultiPoly(self.chart, out)
+        return MultiPoly._raw(self.chart, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -232,13 +249,13 @@ class MultiPoly:
                 out[e] = s
             elif e in out:
                 del out[e]
-        return MultiPoly(self.chart, out)
+        return MultiPoly._raw(self.chart, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
         p = self.chart.characteristic
-        return MultiPoly(self.chart, {e: (-c) % p if p else -c for e, c in self.terms.items()})
+        return MultiPoly._raw(self.chart, {e: (-c) % p if p else -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
@@ -256,7 +273,7 @@ class MultiPoly:
             if not c:
                 return MultiPoly.zero(self.chart)
             p = self.chart.characteristic
-            return MultiPoly(
+            return MultiPoly._raw(
                 self.chart,
                 {e: (a * c) % p if p else a * c for e, a in self.terms.items()},
             )
@@ -275,7 +292,7 @@ class MultiPoly:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        return MultiPoly(self.chart, out)
+        return MultiPoly._raw(self.chart, out)
 
     __rmul__ = __mul__
 
@@ -321,7 +338,7 @@ class MultiPoly:
             e2 = list(e)
             e2[v] = k - 1
             out[tuple(e2)] = s
-        return MultiPoly(self.chart, out)
+        return MultiPoly._raw(self.chart, out)
 
     def substitute(self, values: Sequence["RatFn"]) -> "RatFn":
         """Evaluate at rational functions, one per chart variable, on their chart."""
@@ -409,7 +426,7 @@ def _mono_content(f: MultiPoly) -> tuple[int, ...]:
 def _mono_shift(f: MultiPoly, shift: tuple[int, ...]) -> MultiPoly:
     if not any(shift):
         return f
-    return MultiPoly(
+    return MultiPoly._raw(
         f.chart, {tuple(a - b for a, b in zip(e, shift)): c for e, c in f.terms.items()}
     )
 
@@ -506,20 +523,33 @@ def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     chart = a.chart
     eb, cb = b.leading()
     inv = _inv_scalar(chart, cb)
+    tail = [(sum(e), e, c) for e, c in b.terms.items() if e != eb]
+    db = sum(eb)
     q: dict[tuple[int, ...], Scalar] = {}
-    r = a
+    # remainder keyed by grlex key; each step cancels its leading term in place
+    r = {(sum(e), e): c for e, c in a.terms.items()}
     p = chart.characteristic
-    while not r.is_zero():
-        er, cr = r.leading()
-        diff = tuple(x - y for x, y in zip(er, eb))
-        if any(d < 0 for d in diff):
+    while r:
+        key = max(r)
+        cr = r.pop(key)
+        diff = tuple(map(sub, key[1], eb))
+        if min(diff) < 0:
             raise GvError("polynomial division is not exact")
         c = cr * inv
         if p:
             c %= p
         q[diff] = c
-        r = r - MultiPoly.monomial(chart, diff, c) * b
-    return MultiPoly(chart, q)
+        dd = key[0] - db
+        for d, e, ct in tail:
+            k = (dd + d, tuple(map(add, diff, e)))
+            s = r.get(k, 0) - c * ct
+            if p:
+                s %= p
+            if s:
+                r[k] = s
+            else:
+                r.pop(k, None)
+    return MultiPoly._raw(chart, q)
 
 
 def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
@@ -538,7 +568,7 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
     p = chart.characteristic
     if p and all(f.diff(v).is_zero() for v in range(chart.dim)):
         # every exponent of every term is divisible by p
-        root = MultiPoly(
+        root = MultiPoly._raw(
             chart, {tuple(e // p for e in exp): c for exp, c in f.terms.items()}
         )
         return [(g, m * p) for g, m in squarefree_decomposition(root)]
@@ -776,11 +806,6 @@ def rf_normalize(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
         num = num * inv
         den = den * inv
     return num, den
-
-
-def partial_derivative(f: RatFn, v: int | str) -> RatFn:
-    """Exact partial derivative of a rational function."""
-    return f.diff(v)
 
 
 def as_ratfn(chart: Chart, value) -> RatFn:

@@ -1,4 +1,4 @@
-"""Godbillon-Vey sequences attached to an integrable rational 1-form.
+r"""Godbillon-Vey sequences attached to an integrable rational 1-form.
 
 A sequence (omega_0, omega_1, omega_2, ...) of rational 1-forms is stored
 with factorial weights: it encodes the extended form
@@ -220,7 +220,7 @@ class DefectReport:
 
 @dataclass(frozen=True)
 class FlagReport:
-    """The flag of wedge products of a sequence.
+    r"""The flag of wedge products of a sequence.
 
     `n` is the first index with omega_0 /\ ... /\ omega_n = 0, `theta` the
     last nonzero product omega_0 /\ ... /\ omega_{n-1}, and `theta_hats`
@@ -241,7 +241,7 @@ class FlagReport:
 
 @dataclass(frozen=True)
 class FiniteGVReport:
-    """Verification report for a declared finite sequence of order N.
+    r"""Verification report for a declared finite sequence of order N.
 
     A finite sequence is a Godbillon-Vey sequence exactly when (a) all
     wedges omega_k /\ omega_l with k, l >= 2 vanish and (b) the reduced
@@ -260,7 +260,7 @@ class FiniteGVReport:
 
 @dataclass(frozen=True)
 class AffineCertificate:
-    """Witness that the foliation is transversely affine.
+    r"""Witness that the foliation is transversely affine.
 
     `omega` defines the same foliation as the input and satisfies
     d omega = omega /\ eta with `eta` closed.  A vanishing `eta` means the

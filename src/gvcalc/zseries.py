@@ -65,12 +65,6 @@ class FormalOmega:
             n -= 1
         return FormalOmega(self.chart, self.coeffs[:n])
 
-    def padded(self, length: int) -> "FormalOmega":
-        if length <= len(self.coeffs):
-            return self
-        zero = DiffForm.zero(self.chart, 1)
-        return FormalOmega(self.chart, self.coeffs + (zero,) * (length - len(self.coeffs)))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalOmega):
             return NotImplemented
@@ -176,7 +170,7 @@ def from_extended_form(form: DiffForm, zname: str = "z") -> FormalOmega:
                 continue
             e2 = tuple(x for i, x in enumerate(e) if i != zi)
             out[e2] = c
-        return MultiPoly(base, out)
+        return MultiPoly._raw(base, out)
 
     degree = 0
     columns: dict[int, dict[int, RatFn]] = {}

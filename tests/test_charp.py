@@ -23,6 +23,7 @@ from gvcalc import (
     invariant_hypersurface_candidates,
     vf_pth_power,
 )
+from gvcalc.charp import _closed_identity
 
 
 def plane(p: int) -> Chart:
@@ -215,6 +216,18 @@ class TestIntegratingFactor:
         chart = Chart(("x", "y"), 0)
         with pytest.raises(GvError):
             integrating_factor(worked_form(chart))
+
+    def test_closed_identity_rejects_a_non_factor(self) -> None:
+        # the closedness certificate is a real identity: it holds for the
+        # factor and fails once the factor is perturbed
+        for p in (2, 3):
+            chart = plane(p)
+            x = chart.var("x")
+            w = worked_form(chart)
+            f = integrating_factor(w, fs=[chart.var("y")])
+            assert _closed_identity(f, w)
+            assert not _closed_identity(f * x, w)
+            assert not _closed_identity(chart.one(), w)
 
 
 class TestCandidates:

@@ -127,6 +127,30 @@ class TestMultiPoly:
         assert out == z**2 + xx + 1
 
 
+class TestConstructorValidation:
+    """The public constructor is the boundary: every bad term is rejected."""
+
+    @pytest.mark.parametrize("p", [0, 5])
+    @pytest.mark.parametrize("exp", [(1,), (1, 0, 0), (1, -1), (-2, 0)])
+    def test_bad_exponent(self, p, exp):
+        with pytest.raises(GvError, match="bad exponent"):
+            MultiPoly(Chart(("x", "y"), p), {exp: 1})
+
+    @pytest.mark.parametrize("p", [0, 5])
+    @pytest.mark.parametrize("coeff", [1.5, 2.0, "1", None])
+    def test_bad_coefficient(self, p, coeff):
+        with pytest.raises(GvError, match="bad coefficient"):
+            MultiPoly(Chart(("x", "y"), p), {(1, 0): coeff})
+
+    def test_fraction_without_residue(self):
+        with pytest.raises(ZeroDenominator):
+            MultiPoly(Chart(("x", "y"), 5), {(0, 1): Fraction(2, 15)})
+
+    def test_rejection_is_not_masked_by_a_valid_term(self):
+        with pytest.raises(GvError):
+            MultiPoly(QXY, {(0, 0): 1, (2, 1): 0.5})
+
+
 class TestExactDiv:
     def test_exact(self):
         x = MultiPoly.var(QXY, "x")
