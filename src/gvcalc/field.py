@@ -15,12 +15,19 @@ Input is validated at the boundary: `MultiPoly(chart, terms)` checks every
 exponent and coerces every coefficient, while internal results, canonical by
 construction, go through the trusted `MultiPoly._raw`, which checks nothing.
 
+Greatest common divisors and exact division run on plain term dictionaries.
+Over Q both operands are first scaled to primitive integer polynomials (their
+denominators cleared), and a primitive PRS runs over Z; over F_p the same
+PRS runs on residues.  The gcd is then made monic, and the monic gcd is
+unique, so its value does not depend on the route taken.
+
 All values are immutable after construction and every operation returns a new
 object, so instances can be shared freely between threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
@@ -211,13 +218,7 @@ class MultiPoly:
 
     def coeff_of_power(self, v: int, k: int) -> "MultiPoly":
         """The coefficient of x_v^k, as a polynomial with x_v-exponent zero."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[v] == k:
-                e2 = list(e)
-                e2[v] = 0
-                out[tuple(e2)] = c
-        return MultiPoly._raw(self.chart, out)
+        return MultiPoly._raw(self.chart, _coeffs(self.terms, v).get(k, {}))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -280,19 +281,9 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        p = self.chart.characteristic
-        out: dict[tuple[int, ...], Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if p:
-                    s %= p
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return MultiPoly._raw(self.chart, out)
+        return MultiPoly._raw(
+            self.chart, _mul_terms(self.terms, other.terms, self.chart.characteristic)
+        )
 
     __rmul__ = __mul__
 
@@ -408,136 +399,55 @@ def poly_str(f: MultiPoly) -> str:
     return " ".join(pieces)
 
 
-# -- gcd machinery -----------------------------------------------------
+# -- term-dict core --------------------------------------------------------
+#
+# Plain {exponent: coefficient} dicts, reduced mod p when p > 0.  Product and
+# split also serve MultiPoly over Q; division and gcd need int coefficients
+# when p = 0, so there they work over Z.
 
 
-def _mono_content(f: MultiPoly) -> tuple[int, ...]:
-    """Componentwise minimum exponent over all terms."""
-    it = iter(f.terms)
-    first = next(it)
-    mins = list(first)
-    for e in it:
-        for i, k in enumerate(e):
-            if k < mins[i]:
-                mins[i] = k
-    return tuple(mins)
+def _mul_terms(a: dict, b: dict, p: int, out: dict | None = None) -> dict:
+    """Add the product of term dicts a and b into out (a new dict by default)."""
+    out = {} if out is None else out
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if p:
+                s %= p
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+    return out
 
 
-def _mono_shift(f: MultiPoly, shift: tuple[int, ...]) -> MultiPoly:
-    if not any(shift):
-        return f
-    return MultiPoly._raw(
-        f.chart, {tuple(a - b for a, b in zip(e, shift)): c for e, c in f.terms.items()}
-    )
+def _coeffs(terms: dict, v: int) -> dict[int, dict]:
+    """Split by the exponent of x_v: k -> coefficient of x_v^k, its x_v-exponent zero."""
+    out: dict[int, dict] = {}
+    for e, c in terms.items():
+        k = e[v]
+        out.setdefault(k, {})[e[:v] + (0,) + e[v + 1 :] if k else e] = c
+    return out
 
 
-def _prem(a: MultiPoly, b: MultiPoly, v: int) -> MultiPoly:
-    """Pseudo-remainder of a by b with respect to variable v."""
-    da, db = a.degree_in(v), b.degree_in(v)
-    if da < db:
-        return a
-    chart = a.chart
-    lb = b.coeff_of_power(v, db)
-    xv = MultiPoly.var(chart, chart.variables[v])
-    n = da - db + 1
-    r = a
-    while not r.is_zero():
-        dr = r.degree_in(v)
-        if dr < db:
-            break
-        lr = r.coeff_of_power(v, dr)
-        r = lb * r - lr * xv ** (dr - db) * b
-        n -= 1
-    if n > 0:
-        r = r * lb**n
-    return r
-
-
-def _content_in(f: MultiPoly, v: int) -> MultiPoly:
-    """Gcd of the coefficients of f viewed as a polynomial in x_v."""
-    content = MultiPoly.zero(f.chart)
-    for k in range(f.degree_in(v) + 1):
-        c = f.coeff_of_power(v, k)
-        if not c.is_zero():
-            content = _gcd_rec(content, c)
-            if content.is_constant():
-                break
-    return content
-
-
-def _gcd_rec(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Primitive-PRS gcd; result is monic."""
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    if a.terms == b.terms:
-        return a.monic()
-    sa = _mono_content(a)
-    sb = _mono_content(b)
-    shared = tuple(min(x, y) for x, y in zip(sa, sb))
-    a = _mono_shift(a, sa)
-    b = _mono_shift(b, sb)
-    chart = a.chart
-    out = MultiPoly.monomial(chart, shared)
-    if a.is_constant() or b.is_constant():
-        return out
-    # main variable: the last chart variable occurring in either operand
-    v = max(
-        i
-        for i in range(chart.dim)
-        if a.degree_in(i) > 0 or b.degree_in(i) > 0
-    )
-    ca, cb = _content_in(a, v), _content_in(b, v)
-    a = exact_div(a, ca)
-    b = exact_div(b, cb)
-    if a.degree_in(v) < b.degree_in(v):
-        a, b = b, a
-    while not b.is_zero():
-        r = _prem(a, b, v)
-        if not r.is_zero():
-            r = exact_div(r, _content_in(r, v))
-        a, b = b, r
-    if a.degree_in(v) > 0:
-        prim = a.monic()
-    else:
-        prim = MultiPoly.const(chart, 1)
-    return (out * _gcd_rec(ca, cb) * prim).monic()
-
-
-def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """A greatest common divisor, monic under graded-lex; divides both inputs."""
-    if a.chart != b.chart:
-        raise ChartMismatch("gcd of polynomials on different charts")
-    return _gcd_rec(a, b)
-
-
-def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Exact quotient a / b; raises if b does not divide a."""
-    if b.is_zero():
-        raise ZeroDenominator("division by the zero polynomial")
-    if a.is_zero():
-        return a
-    if b.is_constant():
-        return a * _inv_scalar(a.chart, b.constant_value())
-    chart = a.chart
-    eb, cb = b.leading()
-    inv = _inv_scalar(chart, cb)
-    tail = [(sum(e), e, c) for e, c in b.terms.items() if e != eb]
+def _div_terms(a: dict, b: dict, p: int) -> dict:
+    """Exact quotient of nonzero term dicts over Z or F_p; raises unless b divides a."""
+    eb = max(b, key=_grlex)
+    lc = b[eb]
+    inv = pow(lc, p - 2, p) if p else None
+    tail = [(sum(e), e, c) for e, c in b.items() if e != eb]
     db = sum(eb)
-    q: dict[tuple[int, ...], Scalar] = {}
+    q = {}
     # remainder keyed by grlex key; each step cancels its leading term in place
-    r = {(sum(e), e): c for e, c in a.terms.items()}
-    p = chart.characteristic
+    r = {(sum(e), e): c for e, c in a.items()}
     while r:
         key = max(r)
         cr = r.pop(key)
         diff = tuple(map(sub, key[1], eb))
-        if min(diff) < 0:
+        c = cr * inv % p if p else cr // lc
+        if min(diff) < 0 or (not p and c * lc != cr):
             raise GvError("polynomial division is not exact")
-        c = cr * inv
-        if p:
-            c %= p
         q[diff] = c
         dd = key[0] - db
         for d, e, ct in tail:
@@ -549,7 +459,123 @@ def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
                 r[k] = s
             else:
                 r.pop(k, None)
-    return MultiPoly._raw(chart, q)
+    return q
+
+
+def _min_exp(exps) -> tuple[int, ...]:
+    """Componentwise minimum of exponent tuples: the monomial content."""
+    return tuple(map(min, zip(*exps)))
+
+
+def _normal(terms: dict, p: int) -> dict:
+    """Over Z: no integer content and a positive leading coefficient; over F_p: monic."""
+    lc = terms[max(terms, key=_grlex)]
+    if p:
+        inv = pow(lc, p - 2, p)
+        return {e: c * inv % p for e, c in terms.items()} if inv != 1 else terms
+    g = math.gcd(*terms.values())
+    g = -g if lc < 0 else g
+    return {e: c // g for e, c in terms.items()} if g != 1 else terms
+
+
+def _primitive(f: dict, v: int, p: int) -> tuple[dict, dict]:
+    """(primitive part, content) of f as a polynomial in x_v."""
+    parts = sorted(_coeffs(f, v).values(), key=len)
+    content = parts[0]
+    one = {(0,) * len(next(iter(f))): 1}
+    for c in parts[1:]:
+        content = _gcd_terms(content, c, p)
+        if content == one:
+            break
+    return _normal(_div_terms(f, content, p), p), content
+
+
+def _gcd_terms(a: dict, b: dict, p: int) -> dict:
+    """A gcd of nonzero term dicts over Z (p = 0) or F_p, normalized by `_normal`.
+
+    Primitive PRS (W. S. Brown, J. ACM 18, 1971) in the last variable that
+    occurs, with the contents in that variable taken recursively.
+    """
+    if len(a) == 1 or len(b) == 1:
+        # every divisor of a monomial is a monomial
+        return {_min_exp([*a, *b]): 1}
+    if a == b:
+        return _normal(a, p)
+    sa, sb = _min_exp(a), _min_exp(b)
+    shared = {tuple(map(min, sa, sb)): 1}
+    if any(sa):
+        a = {tuple(map(sub, e, sa)): c for e, c in a.items()}
+    if any(sb):
+        b = {tuple(map(sub, e, sb)): c for e, c in b.items()}
+    v = max(i for i, d in enumerate(map(max, zip(*a, *b))) if d)
+    a, ca = _primitive(a, v, p)
+    b, cb = _primitive(b, v, p)
+    if max(e[v] for e in a) < max(e[v] for e in b):
+        a, b = b, a
+    while b:
+        # pseudo-remainder of a by b in x_v, then its primitive part
+        parts = _coeffs(b, v)
+        db = max(parts)
+        lb = parts[db]
+        r = a
+        while r:
+            parts = _coeffs(r, v)
+            dr = max(parts)
+            if dr < db:
+                break
+            lr = {e[:v] + (dr - db,) + e[v + 1 :]: -c for e, c in parts[dr].items()}
+            r = _mul_terms(lr, b, p, _mul_terms(lb, r, p))
+        a, b = b, _primitive(r, v, p)[0] if r else r
+    g = _mul_terms(shared, _gcd_terms(ca, cb, p), p)
+    # products of normalized factors are normalized (Gauss's lemma over Z)
+    return _mul_terms(g, a, p) if max(e[v] for e in a) else g
+
+
+def _integral(terms: dict) -> tuple[Fraction, dict]:
+    """(s, s*f) for a nonzero f over Q, s > 0 and s*f a primitive integer term dict."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    num = math.gcd(*(c.numerator for c in terms.values()))
+    return Fraction(den, num), {
+        e: c.numerator // num * (den // c.denominator) for e, c in terms.items()
+    }
+
+
+def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """The greatest common divisor, monic under graded-lex; divides both inputs."""
+    if a.chart != b.chart:
+        raise ChartMismatch("gcd of polynomials on different charts")
+    if a.is_zero():
+        return b.monic()
+    if b.is_zero():
+        return a.monic()
+    chart = a.chart
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        # every divisor of a monomial is a monomial
+        return MultiPoly.monomial(chart, _min_exp([*a.terms, *b.terms]))
+    p = chart.characteristic
+    if p:
+        return MultiPoly._raw(chart, _gcd_terms(a.terms, b.terms, p))
+    g = _gcd_terms(_integral(a.terms)[1], _integral(b.terms)[1], 0)
+    lc = g[max(g, key=_grlex)]
+    return MultiPoly._raw(chart, {e: Fraction(c, lc) for e, c in g.items()})
+
+
+def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Exact quotient a / b; raises if b does not divide a."""
+    if b.is_zero():
+        raise ZeroDenominator("division by the zero polynomial")
+    if a.is_zero():
+        return a
+    if b.is_constant():
+        return a * _inv_scalar(a.chart, b.constant_value())
+    p = a.chart.characteristic
+    if p:
+        return MultiPoly._raw(a.chart, _div_terms(a.terms, b.terms, p))
+    # by Gauss's lemma the quotient by a primitive integer divisor is integral
+    sa, ia = _integral(a.terms)
+    sb, ib = _integral(b.terms)
+    t = sb / sa
+    return MultiPoly._raw(a.chart, {e: t * c for e, c in _div_terms(ia, ib, 0).items()})
 
 
 def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:

@@ -343,7 +343,18 @@ def form_ratio(a: DiffForm, b: DiffForm) -> Optional[RatFn]:
 
 
 def _dlog(f: RatFn) -> DiffForm:
-    return ext_d(f) / f
+    """d(f)/f for f = P/Q, as sum_v (P_v/P - Q_v/Q) dx_v.
+
+    Every gcd is then taken against P or Q rather than against Q**2, which
+    the quotient rule for d(P/Q) would need.
+    """
+    coeffs = []
+    for v in range(f.chart.dim):
+        c = RatFn(f.num.diff(v), f.num)
+        if not f.den.is_constant():
+            c = c - RatFn(f.den.diff(v), f.den)
+        coeffs.append(c)
+    return DiffForm.one_form(f.chart, coeffs)
 
 
 def _is_constant_fn(f: RatFn) -> bool:

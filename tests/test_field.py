@@ -164,6 +164,12 @@ class TestExactDiv:
         with pytest.raises(GvError):
             exact_div(x * x + y, x + y)
 
+    def test_not_exact_by_coefficients_alone(self):
+        # every leading exponent divides; only the coefficient 3/2 is not integral
+        x = MultiPoly.var(QXY, "x")
+        with pytest.raises(GvError, match="not exact"):
+            exact_div(3 * x**2 + 3 * x, 2 * x + 3)
+
     def test_by_constant(self):
         x = MultiPoly.var(QXY, "x")
         assert exact_div(3 * x, MultiPoly.const(QXY, 3)) == x

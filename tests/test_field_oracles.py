@@ -3,8 +3,8 @@
 Every result computed inside `field` skips validation, so each one is
 checked to be canonical: it survives a round trip through the validating
 constructor, has no zero coefficient, and keeps its coefficients in the
-scalar domain (`Fraction` over Q, ints in [0, p) over F_p).  Division and
-gcd are compared against sympy over QQ and GF(p).
+scalar domain (`Fraction` over Q, ints in [0, p) over F_p).  Division, gcd
+and squarefree decomposition are compared against sympy over QQ and GF(p).
 """
 
 from __future__ import annotations
@@ -26,22 +26,21 @@ from gvcalc import (
 )
 
 PRIMES = (0, 2, 3, 5, 7)
-X, Y = sympy.symbols("x y")
+VARIABLES = ("x", "y", "z")
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
-def plane(p: int) -> Chart:
-    return Chart(("x", "y"), p)
-
-
-def polys(p: int, max_terms: int = 5, max_exp: int = 3):
-    if p == 0:
+def polys(
+    p: int, max_terms: int = 5, max_exp: int = 3, dim: int = 2, coeff=None, min_terms: int = 0
+):
+    if coeff is None and p == 0:
         coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-    else:
+    elif coeff is None:
         coeff = st.integers(min_value=0, max_value=p - 1)
-    exps = st.tuples(st.integers(0, max_exp), st.integers(0, max_exp))
-    return st.dictionaries(exps, coeff, max_size=max_terms).map(
-        lambda terms: MultiPoly(plane(p), terms)
+    chart = Chart(VARIABLES[:dim], p)
+    exps = st.tuples(*[st.integers(0, max_exp)] * dim)
+    return st.dictionaries(exps, coeff, min_size=min_terms, max_size=max_terms).map(
+        lambda terms: MultiPoly(chart, terms)
     )
 
 
@@ -65,11 +64,13 @@ def assert_canonical(f: MultiPoly) -> None:
 
 def to_sympy(f: MultiPoly) -> sympy.Poly:
     p = f.chart.characteristic
+    gens = sympy.symbols(f.chart.variables)
+    zero = {(0,) * f.chart.dim: 0}
     if p == 0:
         terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.terms.items()}
-        return sympy.Poly.from_dict(terms or {(0, 0): 0}, X, Y, domain=sympy.QQ)
+        return sympy.Poly.from_dict(terms or zero, *gens, domain=sympy.QQ)
     # a copy: sympy converts the values of the dict it is given in place
-    return sympy.Poly.from_dict(dict(f.terms) or {(0, 0): 0}, X, Y, modulus=p)
+    return sympy.Poly.from_dict(dict(f.terms) or zero, *gens, modulus=p)
 
 
 def from_sympy(g: sympy.Poly, chart: Chart) -> MultiPoly:
@@ -142,6 +143,17 @@ def test_exact_div_agrees_with_sympy_div(p):
     check()
 
 
+def check_gcd(a: MultiPoly, b: MultiPoly) -> None:
+    """poly_gcd in both orders is canonical, divides, and is sympy's gcd made monic."""
+    expected = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)), a.chart).monic()
+    for g in (poly_gcd(a, b), poly_gcd(b, a)):
+        assert_canonical(g)
+        assert g == expected
+        if not g.is_zero():
+            assert_canonical(exact_div(a, g))
+            assert_canonical(exact_div(b, g))
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_gcd_agrees_with_sympy(p):
     @SETTINGS
@@ -151,14 +163,65 @@ def test_gcd_agrees_with_sympy(p):
         polys(p, max_terms=3, max_exp=2),
     )
     def check(a, b, c):
-        a, b = a * c, b * c
-        g = poly_gcd(a, b)
-        assert_canonical(g)
-        expected = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)), a.chart)
-        assert g == expected.monic()
-        if not g.is_zero():
-            assert_canonical(exact_div(a, g))
-            assert_canonical(exact_div(b, g))
+        check_gcd(a * c, b * c)
+
+    check()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_gcd_agrees_with_sympy_in_three_variables(p):
+    @SETTINGS
+    @given(
+        polys(p, max_terms=4, max_exp=2, dim=3),
+        polys(p, max_terms=4, max_exp=2, dim=3),
+        polys(p, max_terms=3, max_exp=2, dim=3),
+    )
+    def check(a, b, c):
+        check_gcd(a * c, b * c)
+
+    check()
+
+
+# one-term operands take the monomial path; zero and constants are the edges
+SPECIAL = {
+    "monomial": dict(max_terms=1, max_exp=3),
+    "constant": dict(max_terms=1, max_exp=0),
+    "zero": dict(max_terms=0),
+}
+
+
+@pytest.mark.parametrize("kind", SPECIAL)
+@pytest.mark.parametrize("p", PRIMES)
+def test_gcd_of_special_operands_agrees_with_sympy(p, kind):
+    @SETTINGS
+    @given(
+        polys(p, max_terms=4, max_exp=2, dim=3),
+        polys(p, max_terms=3, max_exp=2, dim=3),
+        polys(p, dim=3, **SPECIAL[kind]),
+    )
+    def check(a, c, special):
+        check_gcd(a * c, special)
+        check_gcd(special, special)
+
+    check()
+
+
+def test_gcd_agrees_with_sympy_on_large_denominators():
+    # numerators and denominators far from each other clear to large integer
+    # operands whose integer contents differ
+    coeff = st.builds(
+        Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**9)
+    )
+
+    @SETTINGS
+    @given(
+        polys(0, max_terms=4, max_exp=2, coeff=coeff),
+        polys(0, max_terms=4, max_exp=2, coeff=coeff),
+        polys(0, max_terms=3, max_exp=2, coeff=coeff),
+        st.integers(1, 10**6),
+    )
+    def check(a, b, c, k):
+        check_gcd(a * c, b * c * k)
 
     check()
 
@@ -166,19 +229,35 @@ def test_gcd_agrees_with_sympy(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_squarefree_parts_are_canonical(p):
     @SETTINGS
-    # small factors: the PRS gcd over Q swells past seconds on a*a*b with
-    # five-term factors of degree 3 in each variable
-    @given(
-        nonconstant(p, max_terms=3, max_exp=2),
-        polys(p, max_terms=3, max_exp=1),
-    )
+    @given(nonconstant(p, min_terms=5), polys(p, min_terms=3, max_terms=3))
     def check(a, b):
         f = a * a * b
+        parts = squarefree_decomposition(f)
         prod = MultiPoly.const(f.chart, 1)
-        for g, m in squarefree_decomposition(f):
+        for g, m in parts:
             assert_canonical(g)
+            assert g == g.monic() and not g.is_constant()
             prod = prod * g**m
         # the parts recover f up to its leading coefficient
         assert exact_div(f, prod).is_constant()
+        by_multiplicity = {m: g for g, m in parts}
+        assert len(by_multiplicity) == len(parts)
+        if p == 0:
+            _, expected = to_sympy(f).sqf_list()
+            assert by_multiplicity == {
+                m: from_sympy(g, f.chart).monic() for g, m in expected
+            }
+            return
+        # sympy has no multivariate sqf_list over GF(p); parts that are
+        # squarefree, pairwise coprime and of distinct multiplicities are the
+        # unique decomposition, and in characteristic p a polynomial is
+        # squarefree exactly when it is coprime to all its partial derivatives
+        for i, (g, _) in enumerate(parts):
+            common = to_sympy(g)
+            for v in range(f.chart.dim):
+                common = sympy.gcd(common, to_sympy(g.diff(v)))
+            assert common.is_ground
+            for h, _ in parts[i + 1 :]:
+                assert sympy.gcd(to_sympy(g), to_sympy(h)).is_ground
 
     check()

@@ -664,6 +664,27 @@ class TestPullback:
         pulled = pullback(list(report.mapping), report.form)
         assert pulled == s.forms[0] * report.cofactor
 
+    def test_order_five_curve_witness_feeds_pullback(self):
+        # a seeded order-5 curve sequence with nonzero slopes: its witness has
+        # degree 15 in u, and the gcds over Q on the way once swelled past 30 s
+        chart = curve_chart()
+        u = chart.var("u")
+        rng = random.Random(1)
+        hs = [
+            chart.const(rng.randint(-2, 2)) + u * chart.const(rng.choice([-1, 1]))
+            for _ in range(5)
+        ]
+        hs.append(chart.const(rng.randint(1, 2)))
+        s = curve_sequence(hs)
+        out = finite_gv_classify(s)
+        assert isinstance(out, ClosedKernelWitness)
+        top = s.trimmed().forms[-1]
+        a = RatFn.from_poly(out.function.num)
+        b = RatFn.from_poly(out.function.den)
+        assert wedge(ext_d(a) * b - ext_d(b) * a, top).is_zero()
+        with pytest.raises(NotExpressible):
+            finite_gv_pullback(s, out.function, 2)
+
     def test_slope_pole_is_not_expressible(self, xy):
         # the witness exists but the slope coefficient has a pole in it, so
         # the polynomial curve model is out of reach for this generator
