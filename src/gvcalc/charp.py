@@ -43,6 +43,7 @@ from .field import (
     Chart,
     MultiPoly,
     RatFn,
+    _gauss_jordan,
     as_ratfn,
     exact_div,
     poly_gcd,
@@ -104,17 +105,8 @@ def _invert_matrix(chart: Chart, rows: list[list[RatFn]]) -> list[list[RatFn]]:
         list(row) + [chart.one() if i == j else chart.zero() for j in range(m)]
         for i, row in enumerate(rows)
     ]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if not aug[r][col].is_zero()), None)
-        if pivot is None:
-            raise DegenerateFrame("the coframe coefficient matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = aug[col][col].inv()
-        aug[col] = [entry * scale for entry in aug[col]]
-        for r in range(m):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    if len(_gauss_jordan(aug, m)) < m:
+        raise DegenerateFrame("the coframe coefficient matrix is singular")
     return [row[m:] for row in aug]
 
 

@@ -681,6 +681,8 @@ class RatFn:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
+            if not other:
+                return self.is_zero()  # no constant to build for the common test
             other = self.chart.const(other)
         if not isinstance(other, RatFn):
             return NotImplemented
@@ -847,3 +849,30 @@ def as_ratfn(chart: Chart, value) -> RatFn:
     if isinstance(value, (int, Fraction)):
         return chart.const(value)
     raise GvError(f"cannot coerce {value!r} to a rational function")
+
+
+def _gauss_jordan(rows: list[list], width: int) -> list[int]:
+    """Row-reduce `rows` in place over their first `width` columns.
+
+    Entries are Fractions or RatFns; pivots are tested with `!= 0`, which
+    works on both.  Afterwards the rows are in reduced row echelon form in
+    those columns: the returned pivot columns lead the first rows in order,
+    and each pivot is 1 with zeros above and below it.
+    """
+    pivots: list[int] = []
+    for col in range(width):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][col]
+        rows[r] = [x / lead for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col] != 0:
+                factor = row[col]
+                rows[i] = [x - factor * y for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    return pivots

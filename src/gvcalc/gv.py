@@ -9,7 +9,11 @@ on the chart enlarged by a formal transverse coordinate z.  The sequence is
 a Godbillon-Vey sequence for the foliation of omega_0 exactly when Omega is
 integrable, which unfolds into one structure relation per order:
 
-    d omega_k = sum_{j+l=k+1, l>=1} k!/(j!(l-1)!) omega_j /\ omega_l.
+    d omega_k = sum_{j+l=k+1, l>=1} k!/(j!(l-1)!) omega_j /\ omega_l
+              = sum_{0<=j<l, j+l=k+1} (C(k, j) - C(k, j-1)) omega_j /\ omega_l,
+
+with C(k, -1) = 0: pairing omega_j /\ omega_l with omega_l /\ omega_j leaves
+integer binomial weights (`zseries.structure_defect`).
 
 This module constructs such sequences from a normalized vector field,
 verifies the relations, applies the standard moves (rescaling the transverse
@@ -31,6 +35,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import (
+    ChartMismatch,
     DecompositionFails,
     GcdDegenerate,
     GvError,
@@ -51,10 +56,11 @@ from .exterior import (
     wedge,
     wedge_all,
 )
-from .field import Chart, MultiPoly, RatFn, as_ratfn
+from .field import Chart, MultiPoly, RatFn, _gauss_jordan, as_ratfn
 from .zseries import (
     FormalOmega,
     Substitution,
+    _defect_orders,
     structure_defect,
     substitute_series,
 )
@@ -113,7 +119,7 @@ class GVSequence:
             if not isinstance(f, DiffForm) or f.degree != 1:
                 raise GvError("sequence entries must be 1-forms")
             if f.chart != chart:
-                raise GvError("sequence entries must share one chart")
+                raise ChartMismatch("sequence entries must share one chart")
         if chart.characteristic != 0:
             raise GvError("Godbillon-Vey sequences require characteristic zero")
         if forms[0].is_zero():
@@ -443,8 +449,7 @@ def gv_verify(s: GVSequence) -> DefectReport:
     """
     if s.is_finite:
         om = s.trimmed().as_formal()
-        n = om.trimmed().last_index
-        orders = tuple(range(max(2 * n - 1, 0) + 1))
+        orders = tuple(_defect_orders(om))
     else:
         om = s.as_formal()
         orders = tuple(range(max(s.stored - 1, 0)))
@@ -683,18 +688,13 @@ def _normalized_columns(
     """
     chart = s.chart
     t = s.trimmed()
-    w = [t.forms[k] * chart.const(Fraction(1, math.factorial(k))) for k in range(n + 1)]
-    if w[n - 1].is_zero():
-        return w, chart.one(), False
-    f = form_ratio(w[n - 1], w[n])
-    if f is None:
+    if t.forms[n - 1].is_zero():
+        return _plain_columns(t), chart.one(), False
+    g = form_ratio(t.forms[n - 1], t.forms[n])
+    if g is None:
         raise GvError("subleading and top coefficients are not proportional")
-    g = f / chart.const(n)
     # rescale the transverse coordinate by g ...
-    ginv = g.inv()
-    r = [w[0] * ginv, w[1] + ext_d(g) * ginv]
-    for k in range(2, n + 1):
-        r.append(w[k] * g ** (k - 1))
+    r = _plain_columns(gv_rescale(t, g))
     # ... then translate it by one unit
     wt: list[DiffForm] = []
     for j in range(n + 1):
@@ -706,6 +706,12 @@ def _normalized_columns(
     if not wt[n - 1].is_zero():
         raise GvError("normalization failed to kill the subleading column")
     return wt, g, True
+
+
+def _plain_columns(s: GVSequence) -> list[DiffForm]:
+    """The columns omega_k / k! of the extended form."""
+    chart = s.chart
+    return [w * chart.const(Fraction(1, math.factorial(k))) for k, w in enumerate(s.forms)]
 
 
 def _lower_indices(n: int) -> list[int]:
@@ -897,33 +903,12 @@ def _express_in_powers(
         row.append(Fraction(rhs.terms.get(m, 0)))
         rows.append(row)
     width = degree + 1
-    pivots = []
-    r = 0
-    for col in range(width):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        scale = rows[r][col]
-        rows[r] = [x / scale for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][width] != 0:
-            return None
+    pivots = _gauss_jordan(rows, width)
+    if any(row[width] != 0 for row in rows[len(pivots):]):
+        return None
     coeffs = [Fraction(0)] * width
-    for i, col in enumerate(pivots):
-        coeffs[col] = rows[i][width]
+    for row, col in zip(rows, pivots):
+        coeffs[col] = row[width]
     return coeffs
 
 

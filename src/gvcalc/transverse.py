@@ -13,6 +13,11 @@ and leaves the outer two unchanged; the two conventions exchange under
 w2 -> w2/2 (half to full) and w2 -> 2*w2 (full to half).  Every triple
 carries its convention tag explicitly and all operations respect it.
 
+A HALF triple is the factorial-weighted sequence [w0, w1, w2] of
+`zseries.FormalOmega` cut off at length 3, and its three relations are that
+sequence's structure defects of orders 0, 1 and 2; `triple_verify` checks
+them there.
+
 Degenerate tails recover the shorter structures: w2 = 0 leaves a
 transversely affine pair (d w0 = w0 /\ w1, d w1 = 0 whenever the triple
 relations hold), and w1 = w2 = 0 leaves a closed defining form, the
@@ -21,12 +26,12 @@ transversely euclidean case.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
-from .errors import GaugeBreaksRelations, GvError, ZeroFunction
+from .errors import ChartMismatch, GaugeBreaksRelations, GvError, ZeroFunction
 from .exterior import DiffForm, ext_d, pullback, wedge
 from .field import Chart, RatFn, as_ratfn
-from .zseries import FormalOmega
+from .zseries import FormalOmega, structure_defect
 
 __all__ = [
     "Triple",
@@ -47,7 +52,7 @@ def _check_form(w: DiffForm, chart: Chart, slot: str) -> None:
     if not isinstance(w, DiffForm) or w.degree != 1:
         raise GvError(f"{slot} must be a 1-form")
     if w.chart != chart:
-        raise GvError("triple entries live on different charts")
+        raise ChartMismatch("triple entries live on different charts")
 
 
 @dataclass(frozen=True)
@@ -112,13 +117,15 @@ def triple_verify(t: Triple) -> TripleReport:
     """Check the three structure relations under the triple's convention.
 
     The middle relation carries the convention constant: d w1 = c w0 /\\ w2
-    with c = 2 for FULL and c = 1 for HALF.  The report lists one defect
-    2-form per relation.
+    with c = 2 for FULL and c = 1 for HALF.  The relations are the defects
+    of orders 0, 1, 2 of the HALF sequence [w0, w1, w2]; a FULL triple is
+    checked as [w0, w1, 2 w2], whose order-2 defect is twice its own, so
+    that one is halved.  The report lists one defect 2-form per relation.
     """
-    c = 2 if t.convention == FULL else 1
-    d0 = ext_d(t.w0) - wedge(t.w0, t.w1)
-    d1 = ext_d(t.w1) - wedge(t.w0, t.w2) * c
-    d2 = ext_d(t.w2) - wedge(t.w1, t.w2)
+    om = FormalOmega(t.chart, t.converted(HALF).forms)
+    d0, d1, d2 = (structure_defect(om, k) for k in range(3))
+    if t.convention == FULL:
+        d2 = d2 * Fraction(1, 2)
     return TripleReport(t.convention, (d0, d1, d2))
 
 
@@ -255,25 +262,13 @@ def riccati_triple(
 def suspension_form(t: Triple) -> FormalOmega:
     """The suspension Omega = dz + w0 + z w1 + z^2 w2 of a triple.
 
-    Works in the FULL convention (a HALF input is converted first) and
-    returns the formal series with factorial weights, so the stored
-    coefficients are [w0, w1, 2 w2].  Integrability Omega /\\ dOmega = 0 is
-    checked exactly by realizing z as an extra chart variable; failure
-    means the triple relations do not hold and raises GvError.
+    Works in the FULL convention and returns the formal series with
+    factorial weights, so the stored coefficients are [w0, w1, 2 w2], the
+    HALF triple.  Omega /\\ dOmega = 0 exactly when the triple relations
+    hold, so a triple that fails `triple_verify` raises GvError.
     """
-    base = t.converted(FULL)
-    chart = base.chart
-    product, proj = _with_fiber(chart, "z")
-    z = product.var(product.variables[-1])
-    dz = DiffForm.coordinate(product, product.variables[-1])
-    omega = (
-        dz
-        + pullback(proj, base.w0)
-        + pullback(proj, base.w1) * z
-        + pullback(proj, base.w2) * (z * z)
-    )
-    if not wedge(omega, ext_d(omega)).is_zero():
+    if not triple_verify(t).ok:
         raise GvError(
             "the suspension is not integrable; the triple relations fail"
         )
-    return FormalOmega(chart, [base.w0, base.w1, base.w2 * 2])
+    return FormalOmega(t.chart, t.converted(HALF).forms)

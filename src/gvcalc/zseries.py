@@ -15,7 +15,7 @@ exact truncated power series division.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Sequence
 
 from .errors import ChartMismatch, GvError, VanishingLeadCoefficient, ZeroDenominator
@@ -92,45 +92,47 @@ def _inv_factorial(chart: Chart, k: int) -> Fraction:
 def structure_defect(om: FormalOmega, k: int) -> DiffForm:
     """The k-th integrability defect of the extended form.
 
-    The defect is  d w_k - sum_{j+l=k+1, l>=1} k!/(j! (l-1)!) w_j ^ w_l,
-    a 2-form on the base chart; the extended form is integrable exactly when
-    every defect vanishes.
+    The relation d w_k = sum_{j+l=k+1, l>=1} k!/(j! (l-1)!) w_j ^ w_l pairs
+    w_j ^ w_l with w_l ^ w_j, which leaves the integer form
+
+        d w_k - sum_{0<=j<l, j+l=k+1} (C(k, j) - C(k, j-1)) w_j ^ w_l,
+
+    with C(k, -1) = 0: a 2-form on the base chart.  The extended form is
+    integrable exactly when every defect vanishes.
     """
     if k < 0:
         raise GvError("negative defect index")
-    chart = om.chart
     out = ext_d(om.omega(k))
-    for l in range(1, k + 2):
-        j = k + 1 - l
-        wj, wl = om.omega(j), om.omega(l)
+    for j in range((k + 2) // 2):
+        wj, wl = om.omega(j), om.omega(k + 1 - j)
         if wj.is_zero() or wl.is_zero():
             continue
-        coeff = Fraction(factorial(k), factorial(j) * factorial(l - 1))
-        out = out - wedge(wj, wl) * chart.const(coeff)
+        coeff = comb(k, j) - (comb(k, j - 1) if j else 0)
+        out = out - wedge(wj, wl) * coeff
     return out
+
+
+def _defect_orders(om: FormalOmega) -> range:
+    """Orders 0 .. max(2N-1, 0) of every possibly nonzero defect."""
+    n = om.trimmed().last_index
+    return range(max(2 * n - 1, 0) + 1)
 
 
 def structure_defects(om: FormalOmega) -> list[DiffForm]:
     """All possibly nonzero defects, indices 0 .. max(2N-1, 0)."""
-    n = om.trimmed().last_index
-    return [structure_defect(om, k) for k in range(max(2 * n - 1, 0) + 1)]
+    return [structure_defect(om, k) for k in _defect_orders(om)]
 
 
 def is_formal_integrable(om: FormalOmega) -> bool:
     """Whether every integrability defect of the sequence vanishes."""
-    n = om.trimmed().last_index
-    return all(structure_defect(om, k).is_zero() for k in range(max(2 * n - 1, 0) + 1))
-
-
-def extended_chart(chart: Chart, zname: str = "z") -> Chart:
-    if zname in chart.variables:
-        raise GvError(f"variable {zname!r} already on the chart")
-    return chart.extend(zname)
+    return all(structure_defect(om, k).is_zero() for k in _defect_orders(om))
 
 
 def to_extended_form(om: FormalOmega, zname: str = "z") -> DiffForm:
     """The 1-form dz + sum z^k/k! w_k on the chart extended by z."""
-    ext = extended_chart(om.chart, zname)
+    if zname in om.chart.variables:
+        raise GvError(f"variable {zname!r} already on the chart")
+    ext = om.chart.extend(zname)
     z = ext.var(zname)
     lift = [ext.var(v) for v in om.chart.variables]
     out = DiffForm.coordinate(ext, zname)
@@ -248,7 +250,8 @@ def compose_substitutions(s: Substitution, r: Substitution) -> Substitution:
     power = [chart.one()]
     for k, fk in enumerate(s.coeffs):
         if k > 0:
-            power = _poly_mul(power, list(r.coeffs))
+            upto = len(power) + len(r.coeffs) - 2  # the untruncated product
+            power = _convolve(power, r.coeffs, upto, chart.zero())
         if fk.is_zero():
             continue
         for i, c in enumerate(power):
@@ -260,22 +263,13 @@ def compose_substitutions(s: Substitution, r: Substitution) -> Substitution:
     return Substitution(chart, result)
 
 
-def _poly_mul(a: list[RatFn], b: list[RatFn]) -> list[RatFn]:
-    chart = a[0].chart
-    out = [chart.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if y.is_zero():
-                continue
-            out[i + j] = out[i + j] + x * y
-    return out
+def _convolve(a: list, b: list[RatFn], upto: int, zero) -> list:
+    """The product of two series in t, truncated after t^upto.
 
-
-def _series_mul_rr(a: list[RatFn], b: list[RatFn], upto: int) -> list[RatFn]:
-    chart = a[0].chart
-    out = [chart.zero()] * (upto + 1)
+    The left entries may be rational functions or forms; `zero` is the zero
+    of their kind.
+    """
+    out = [zero] * (upto + 1)
     for i, x in enumerate(a):
         if i > upto or x.is_zero():
             continue
@@ -299,20 +293,6 @@ def _series_inv(a: list[RatFn], upto: int) -> list[RatFn]:
             if i < len(a) and not a[i].is_zero():
                 acc = acc + a[i] * out[j - i]
         out[j] = -acc * inv0
-    return out
-
-
-def _series_mul_fr(a: list[DiffForm], b: list[RatFn], upto: int) -> list[DiffForm]:
-    chart = b[0].chart
-    out = [DiffForm.zero(chart, 1) for _ in range(upto + 1)]
-    for i, x in enumerate(a):
-        if i > upto or x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if i + j > upto:
-                break
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
     return out
 
 
@@ -352,7 +332,7 @@ def substitute_series(
     zpow: list[RatFn] = [chart.one()] + [chart.zero()] * upto
     for k, wk in enumerate(om.coeffs):
         if k > 0:
-            zpow = _series_mul_rr(zpow, fs, upto)
+            zpow = _convolve(zpow, fs, upto, chart.zero())
         if wk.is_zero():
             continue
         scale = chart.const(_inv_factorial(chart, k))
@@ -360,6 +340,6 @@ def substitute_series(
             c = zpow[j] * scale
             if not c.is_zero():
                 B[j] = B[j] + wk * c
-    C = _series_mul_fr(B, _series_inv(A, upto), upto)
+    C = _convolve(B, _series_inv(A, upto), upto, DiffForm.zero(chart, 1))
     out = [C[j] * chart.const(factorial(j)) for j in range(upto + 1)]
     return FormalOmega(chart, out)

@@ -7,6 +7,7 @@ import pytest
 from gvcalc import (
     AffineCertificate,
     Chart,
+    ChartMismatch,
     ClosedKernelWitness,
     DecompositionFails,
     DiffForm,
@@ -118,6 +119,11 @@ class TestGVSequence:
         dx = DiffForm.coordinate(chart, "x")
         with pytest.raises(GvError):
             GVSequence([dx])
+
+    def test_rejects_mixed_charts(self, xy):
+        other = Chart(("x", "y", "z"))
+        with pytest.raises(ChartMismatch):
+            GVSequence([DiffForm.coordinate(xy, "x"), DiffForm.coordinate(other, "x")])
 
     def test_entry_access_and_padding(self, xy):
         dx = DiffForm.coordinate(xy, "x")

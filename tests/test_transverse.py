@@ -5,6 +5,7 @@ import pytest
 
 from gvcalc import (
     Chart,
+    ChartMismatch,
     DiffForm,
     GVSequence,
     GaugeBreaksRelations,
@@ -59,6 +60,12 @@ class TestTriple:
         dx = DiffForm.coordinate(chart, "x")
         with pytest.raises(GvError):
             Triple(dx, dx, dx)
+
+    def test_rejects_mixed_charts(self, xz):
+        dx = DiffForm.coordinate(xz, "x")
+        other = DiffForm.coordinate(Chart(("x", "y", "z"), 0), "x")
+        with pytest.raises(ChartMismatch):
+            Triple(dx, dx, other)
 
     def test_conversion_involution(self, xz):
         dx = DiffForm.coordinate(xz, "x")
@@ -269,6 +276,12 @@ class TestRiccati:
         dx = DiffForm.coordinate(chart, "x")
         t = riccati_triple(dx * x, dx * (x + 1), DiffForm.zero(chart, 1))
         assert classify_structure(t.w0, t.w1) == "affine"
+
+    def test_rejects_mixed_charts(self):
+        dx = DiffForm.coordinate(base_chart(), "x")
+        other = DiffForm.coordinate(Chart(("x", "y"), 0), "x")
+        with pytest.raises(ChartMismatch):
+            riccati_triple(dx, other, dx)
 
     def test_fresh_fiber_name(self):
         chart = Chart(("z",), 0)

@@ -104,6 +104,11 @@ class TestExtendedForm:
         yvar = ext.chart.var("y")
         assert zc == zvar * zvar * yvar * Fraction(1, 2)
 
+    def test_rejects_a_variable_already_on_the_chart(self):
+        om = FormalOmega(C2, list(affine_pair()))
+        with pytest.raises(GvError):
+            to_extended_form(om, zname="y")
+
 
 class TestSubstitution:
     def test_linear_coefficient_required(self):
