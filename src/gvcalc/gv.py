@@ -35,7 +35,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import (
-    ChartMismatch,
     DecompositionFails,
     GcdDegenerate,
     GvError,
@@ -92,19 +91,22 @@ __all__ = [
 # sequence container
 
 
-class GVSequence:
-    """A stored prefix of a Godbillon-Vey sequence.
+class GVSequence(FormalOmega):
+    """A `FormalOmega` whose entries define a Godbillon-Vey sequence.
 
-    `forms` holds omega_0, omega_1, ... as 1-forms on a common chart; the
-    leading form must be nonzero since it defines the foliation.  When
-    `declared_length` is an integer L the sequence is asserted to be finite:
-    omega_k = 0 for every k >= L.  All potentially nonzero entries must then
-    be stored (L <= len(forms)) and any stored tail past L must vanish.
-    Without a declaration, entries beyond the stored prefix are unknown
-    rather than zero.
+    `forms` (an alias of `coeffs`) holds omega_0, omega_1, ... as 1-forms on
+    a common chart of characteristic zero; the leading form must be nonzero
+    since it defines the foliation.  When `declared_length` is an integer L
+    the sequence is asserted to be finite: omega_k = 0 for every k >= L.  All
+    potentially nonzero entries must then be stored (L <= len(forms)) and any
+    stored tail past L must vanish.  Without a declaration, entries beyond the
+    stored prefix are unknown rather than zero.
     """
 
-    __slots__ = ("forms", "declared_length")
+    __slots__ = ("declared_length",)
+
+    forms = FormalOmega.coeffs
+    stored = FormalOmega.length
 
     def __init__(
         self,
@@ -112,21 +114,15 @@ class GVSequence:
         declared_length: Optional[int] = None,
     ) -> None:
         forms = tuple(forms)
-        if not forms:
-            raise GvError("a sequence needs at least the defining form")
-        chart = forms[0].chart
-        for f in forms:
-            if not isinstance(f, DiffForm) or f.degree != 1:
-                raise GvError("sequence entries must be 1-forms")
-            if f.chart != chart:
-                raise ChartMismatch("sequence entries must share one chart")
+        chart = forms[0].chart if forms and isinstance(forms[0], DiffForm) else None
+        super().__init__(chart, forms)
         if chart.characteristic != 0:
             raise GvError("Godbillon-Vey sequences require characteristic zero")
         if forms[0].is_zero():
             raise GvError("the defining form omega_0 must be nonzero")
         if declared_length is not None:
-            if declared_length < 1:
-                raise GvError("declared length must be positive")
+            if not isinstance(declared_length, int) or declared_length < 1:
+                raise GvError("declared length must be a positive integer")
             if declared_length > len(forms):
                 raise GvError("declared length exceeds the stored entries")
             for k in range(declared_length, len(forms)):
@@ -134,20 +130,7 @@ class GVSequence:
                     raise GvError(
                         f"entry {k} is nonzero past the declared length"
                     )
-        object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "declared_length", declared_length)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GVSequence is immutable")
-
-    @property
-    def chart(self) -> Chart:
-        return self.forms[0].chart
-
-    @property
-    def stored(self) -> int:
-        """Number of stored entries."""
-        return len(self.forms)
 
     @property
     def is_finite(self) -> bool:
@@ -155,51 +138,40 @@ class GVSequence:
 
     def omega(self, k: int) -> DiffForm:
         """The k-th entry; zero past a declared finite length."""
-        if k < 0:
-            raise GvError("negative sequence index")
-        if k < len(self.forms):
-            return self.forms[k]
-        if self.is_finite:
-            return DiffForm.zero(self.chart, 1)
-        raise GvError(
-            f"entry {k} lies beyond the stored order {len(self.forms) - 1}"
-        )
+        if isinstance(k, int) and k >= len(self.coeffs) and not self.is_finite:
+            raise GvError(
+                f"entry {k} lies beyond the stored order {len(self.coeffs) - 1}"
+            )
+        return super().omega(k)
 
     def order(self) -> int:
         """Index of the last nonzero entry of a declared finite sequence."""
-        if not self.is_finite:
-            raise GvError("order is only defined for declared finite sequences")
-        for k in range(self.declared_length - 1, -1, -1):
-            if not self.forms[k].is_zero():
-                return k
-        return 0
+        return self.trimmed().last_index
 
     def trimmed(self) -> "GVSequence":
         """Drop the zero tail of a declared finite sequence."""
-        n = self.order()
-        return GVSequence(self.forms[: n + 1], n + 1)
+        if not self.is_finite:
+            raise GvError("order is only defined for declared finite sequences")
+        t = super().trimmed()
+        return GVSequence(t.coeffs, t.length)
 
     def as_formal(self) -> FormalOmega:
-        return FormalOmega(self.chart, list(self.forms))
+        return FormalOmega(self.chart, self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GVSequence):
             return NotImplemented
         return (
-            self.forms == other.forms
+            self.coeffs == other.coeffs
             and self.declared_length == other.declared_length
         )
 
     def __hash__(self) -> int:
-        return hash((self.forms, self.declared_length))
+        return hash((self.coeffs, self.declared_length))
 
     def __str__(self) -> str:
-        body = ", ".join(str(f) for f in self.forms)
-        tail = "" if self.declared_length is None else ", 0 ..."
-        return f"gv [{body}{tail}]"
-
-    def __repr__(self) -> str:
-        return f"GVSequence({self!s})"
+        body = super().__str__()
+        return body if self.declared_length is None else body[:-1] + ", 0 ...]"
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +370,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _trim_tail(forms: list[DiffForm]) -> list[DiffForm]:
-    while len(forms) > 1 and forms[-1].is_zero():
-        forms.pop()
-    return forms
-
-
 # ---------------------------------------------------------------------------
 # construction and verification
 
@@ -420,8 +386,8 @@ def gv_from_field(
     """
     if w.degree != 1:
         raise GvError("the defining form must be a 1-form")
-    if upto < 0:
-        raise GvError("the number of derivatives must be nonnegative")
+    if not isinstance(upto, int) or upto < 0:
+        raise GvError("the number of derivatives must be a nonnegative integer")
     if not is_integrable(w):
         raise NotIntegrable("w /\\ dw is nonzero")
     pairing = form_apply(w, X)
@@ -448,14 +414,12 @@ def gv_verify(s: GVSequence) -> DefectReport:
     stored order, so exactly those are checked.
     """
     if s.is_finite:
-        om = s.trimmed().as_formal()
-        orders = tuple(_defect_orders(om))
+        orders = tuple(_defect_orders(s))
     else:
-        om = s.as_formal()
         orders = tuple(range(max(s.stored - 1, 0)))
     bad = []
     for k in orders:
-        defect = structure_defect(om, k)
+        defect = structure_defect(s, k)
         if not defect.is_zero():
             bad.append((k, defect))
     return DefectReport(orders, tuple(bad))
@@ -493,8 +457,7 @@ def gv_rescale(s: GVSequence, f) -> GVSequence:
         else:
             out.append(wk * f ** (k - 1))
     if s.is_finite:
-        out = _trim_tail(out)
-        return GVSequence(out, len(out))
+        return GVSequence(out, len(out)).trimmed()
     return GVSequence(out)
 
 
@@ -514,8 +477,8 @@ def gv_shift(s: GVSequence, f, order: int = 1) -> GVSequence:
     """
     chart = s.chart
     f = as_ratfn(chart, f)
-    if order < 1:
-        raise GvError("shift order must be at least 1")
+    if not isinstance(order, int) or order < 1:
+        raise GvError("shift order must be an integer of at least 1")
     if f.is_zero():
         return s
     one = chart.one()
@@ -529,10 +492,8 @@ def gv_shift(s: GVSequence, f, order: int = 1) -> GVSequence:
     if s.is_finite:
         # every input column is known, so expose one column past the shift
         width = max(width, order + 2)
-        om = s.trimmed().as_formal()
-    else:
-        om = s.as_formal()
-    shifted = substitute_series(om, sub, upto=width - 1)
+        s = s.trimmed()
+    shifted = substitute_series(s, sub, upto=width - 1)
     return GVSequence(shifted.coeffs[:width])
 
 
@@ -650,7 +611,7 @@ def finite_gv_verify(s: GVSequence) -> FiniteGVReport:
     if not s.is_finite:
         raise GvError("finite verification needs a declared finite sequence")
     t = s.trimmed()
-    n = t.order()
+    n = t.last_index
     if n < 2:
         raise GvError("finite analysis needs order at least 2")
     w = t.forms
@@ -669,6 +630,20 @@ def finite_gv_verify(s: GVSequence) -> FiniteGVReport:
         if ext_d(w[k]) != rhs:
             rel_bad.append(k)
     return FiniteGVReport(n, tuple(wedge_bad), tuple(rel_bad))
+
+
+def _verified_order(s: GVSequence, analysis: str) -> int:
+    """The order N of a sequence passing `finite_gv_verify`; N >= 3."""
+    report = finite_gv_verify(s)
+    if not report.ok:
+        raise GvError(
+            "finite structure relations fail: "
+            f"wedges {list(report.wedge_failures)}, "
+            f"relations {list(report.relation_failures)}"
+        )
+    if report.order < 3:
+        raise GvError(f"{analysis} needs order at least 3")
+    return report.order
 
 
 # ---------------------------------------------------------------------------
@@ -782,16 +757,7 @@ def finite_gv_classify(
     expresses the remaining lower columns as multiples g_k of the top one,
     and branches on the kernel multipliers g_k.
     """
-    report = finite_gv_verify(s)
-    n = report.order
-    if not report.ok:
-        raise GvError(
-            "finite structure relations fail: "
-            f"wedges {list(report.wedge_failures)}, "
-            f"relations {list(report.relation_failures)}"
-        )
-    if n < 3:
-        raise GvError("classification needs order at least 3")
+    n = _verified_order(s, "classification")
     chart = s.chart
     t = s.trimmed()
     top = t.forms[n]
@@ -943,18 +909,9 @@ def finite_gv_pullback(
     degree in the witness (try a larger bound), and GcdDegenerate when the
     exponent bookkeeping collapses.
     """
-    report = finite_gv_verify(s)
-    n = report.order
-    if not report.ok:
-        raise GvError(
-            "finite structure relations fail: "
-            f"wedges {list(report.wedge_failures)}, "
-            f"relations {list(report.relation_failures)}"
-        )
-    if n < 3:
-        raise GvError("pullback analysis needs order at least 3")
-    if degree < 0:
-        raise GvError("the degree bound must be nonnegative")
+    n = _verified_order(s, "pullback analysis")
+    if not isinstance(degree, int) or degree < 0:
+        raise GvError("the degree bound must be a nonnegative integer")
     chart = s.chart
     gfun = as_ratfn(chart, witness)
     omega = ext_d(gfun)

@@ -39,8 +39,8 @@ class FormalOmega:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
-    def __setattr__(self, *a) -> None:  # pragma: no cover - guard only
-        raise AttributeError("FormalOmega is immutable")
+    def __setattr__(self, *a) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def length(self) -> int:
@@ -52,8 +52,8 @@ class FormalOmega:
 
     def omega(self, k: int) -> DiffForm:
         """The k-th coefficient; zero beyond the stored range."""
-        if k < 0:
-            raise GvError("negative series index")
+        if not isinstance(k, int) or k < 0:
+            raise GvError("series index must be a nonnegative integer")
         if k < len(self.coeffs):
             return self.coeffs[k]
         return DiffForm.zero(self.chart, 1)
@@ -66,7 +66,7 @@ class FormalOmega:
         return FormalOmega(self.chart, self.coeffs[:n])
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, FormalOmega):
+        if type(other) is not type(self):
             return NotImplemented
         if self.chart != other.chart:
             return False
@@ -77,7 +77,7 @@ class FormalOmega:
         return "gv [" + ", ".join(str(w) for w in self.coeffs) + "]"
 
     def __repr__(self) -> str:
-        return f"FormalOmega({self})"
+        return f"{type(self).__name__}({self})"
 
 
 def _inv_factorial(chart: Chart, k: int) -> Fraction:
@@ -100,8 +100,8 @@ def structure_defect(om: FormalOmega, k: int) -> DiffForm:
     with C(k, -1) = 0: a 2-form on the base chart.  The extended form is
     integrable exactly when every defect vanishes.
     """
-    if k < 0:
-        raise GvError("negative defect index")
+    if not isinstance(k, int) or k < 0:
+        raise GvError("defect index must be a nonnegative integer")
     out = ext_d(om.omega(k))
     for j in range((k + 2) // 2):
         wj, wl = om.omega(j), om.omega(k + 1 - j)
@@ -310,8 +310,8 @@ def substitute_series(
     chart = om.chart
     if upto is None:
         upto = om.last_index + 2
-    if upto < 0:
-        raise GvError("truncation order must be nonnegative")
+    if not isinstance(upto, int) or upto < 0:
+        raise GvError("truncation order must be a nonnegative integer")
     p = chart.characteristic
     if p and (upto >= p or om.last_index >= p):
         raise GvError(

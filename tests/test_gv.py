@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvcalc import (
     AffineCertificate,
@@ -11,12 +13,14 @@ from gvcalc import (
     ClosedKernelWitness,
     DecompositionFails,
     DiffForm,
+    FormalOmega,
     GVSequence,
     GvError,
     NotExpressible,
     NotIntegrable,
     NotNormalized,
     RatFn,
+    Substitution,
     VectorField,
     ZeroFunction,
     ext_d,
@@ -34,6 +38,9 @@ from gvcalc import (
     gv_verify,
     is_integrable,
     same_foliation,
+    structure_defect,
+    structure_defects,
+    substitute_series,
     wedge,
 )
 
@@ -145,8 +152,79 @@ class TestGVSequence:
     def test_immutable(self, xy):
         dx = DiffForm.coordinate(xy, "x")
         s = GVSequence([dx])
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="GVSequence is immutable"):
             s.forms = ()
+        with pytest.raises(AttributeError, match="GVSequence is immutable"):
+            s.declared_length = 1
+
+    def test_is_a_formal_omega(self, xy):
+        dx = DiffForm.coordinate(xy, "x")
+        dy = DiffForm.coordinate(xy, "y")
+        s = GVSequence([dx, dy], declared_length=2)
+        assert isinstance(s, FormalOmega)
+        assert s.forms == s.coeffs == (dx, dy)
+        assert s.stored == s.length == 2
+        assert repr(s) == f"GVSequence({s})"
+        assert str(s) == f"gv [{dx}, {dy}, 0 ...]"
+        assert str(GVSequence([dx, dy])) == str(FormalOmega(xy, [dx, dy]))
+
+    def test_never_equals_a_formal_omega(self, xy):
+        forms = [DiffForm.coordinate(xy, "x"), DiffForm.coordinate(xy, "y")]
+        om = FormalOmega(xy, forms)
+        for s in (GVSequence(forms), GVSequence(forms, 2)):
+            assert om != s and s != om
+            assert not (om == s) and not (s == om)
+        assert om == GVSequence(forms).as_formal()
+
+    def test_equal_sequences_hash_equally(self, xy):
+        dx = DiffForm.coordinate(xy, "x")
+        a = GVSequence([dx, dx * xy.var("y")], 2)
+        b = GVSequence((dx, dx * xy.var("y")), 2)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert a != GVSequence(a.forms)
+        assert len({a, b, GVSequence(a.forms)}) == 2
+
+    def test_declared_sequence_feeds_series_functions(self):
+        chart = curve_chart()
+        u = chart.var("u")
+        s = curve_sequence([u, chart.one(), u + chart.one()])
+        om = s.as_formal()
+        assert type(om) is FormalOmega
+        assert structure_defects(s) == structure_defects(om)
+        sub = Substitution.normalized(chart, [chart.one(), u])
+        assert substitute_series(s, sub) == substitute_series(om, sub)
+
+    def test_undeclared_sequence_has_no_defect_range(self, xy):
+        dx = DiffForm.coordinate(xy, "x")
+        with pytest.raises(GvError):
+            structure_defects(GVSequence([dx, dx]))
+
+
+def _bad_inputs():
+    xy = Chart(("x", "y"), 0)
+    dx = DiffForm.coordinate(xy, "x")
+    s = GVSequence([dx, dx * xy.var("y")])
+    curve = curve_sequence([curve_chart().one()] * 4)
+    X = VectorField.coordinate(xy, "x")
+    sub = Substitution.normalized(xy, [xy.one()])
+    witness = curve_chart().var("u")
+    return {
+        "sequence entry not a form": lambda: GVSequence([1]),
+        "declared length not an int": lambda: GVSequence([dx, dx], "1"),
+        "defect index not an int": lambda: structure_defect(s, 1.0),
+        "shift order not an int": lambda: gv_shift(s, xy.var("x"), "2"),
+        "field order not an int": lambda: gv_from_field(dx, X, 2.5),
+        "series order not an int": lambda: substitute_series(s, sub, "3"),
+        "entry index not an int": lambda: s.omega("0"),
+        "degree bound not an int": lambda: finite_gv_pullback(curve, witness, 1.5),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_inputs()))
+def test_bad_input_raises_gv_error(case):
+    with pytest.raises(GvError):
+        _bad_inputs()[case]()
 
 
 # -- construction from a field ------------------------------------------
@@ -314,6 +392,35 @@ class TestMoves:
             t = gv_shift(s, f, rng.choice([1, 2]))
             assert gv_verify(t).ok
             assert t.forms[0] == s.forms[0]
+
+
+def _linear_in_u(a, b):
+    chart = curve_chart()
+    return chart.const(a) + chart.var("u") * chart.const(b)
+
+
+small = st.integers(-2, 2)
+linear_in_u = st.builds(_linear_in_u, small, small)
+nonzero_linear_in_u = linear_in_u.filter(lambda f: not f.is_zero())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, 4).flatmap(lambda n: st.lists(linear_in_u, min_size=n, max_size=n)),
+    nonzero_linear_in_u,
+    nonzero_linear_in_u,
+)
+def test_moves_keep_the_relations(lower, top, f):
+    """Shifts at orders 1-3 and rescales by f = a + b*u stay GV sequences."""
+    s = curve_sequence([*lower, top])
+    assert gv_verify(s).ok
+    for k in (1, 2, 3):
+        shifted = gv_shift(s, f, k)
+        assert gv_verify(shifted).ok
+        assert shifted.forms[0] == s.forms[0]
+    rescaled = gv_rescale(s, f)
+    assert gv_verify(rescaled).ok
+    assert rescaled.forms[0] == s.forms[0] / f
 
 
 # -- flags ----------------------------------------------------------------
