@@ -18,7 +18,9 @@ appeal to the general statement.
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import (
@@ -33,7 +35,6 @@ from .exterior import (
     DiffForm,
     VectorField,
     d_of,
-    ext_d,
     form_apply,
     is_integrable,
     pullback,
@@ -43,10 +44,10 @@ from .field import (
     Chart,
     MultiPoly,
     RatFn,
+    _cofactors,
     _gauss_jordan,
     as_ratfn,
     exact_div,
-    poly_gcd,
     squarefree_decomposition,
 )
 
@@ -153,15 +154,6 @@ def dual_frame(w: DiffForm, fs: Optional[Sequence] = None) -> DualFrame:
     return DualFrame(fields=fields, basis_forms=tuple(forms))
 
 
-def _poly_sum(parts) -> MultiPoly:
-    acc = None
-    for t in parts:
-        acc = t if acc is None else acc + t
-    if acc is None:
-        raise GvError("empty polynomial sum")
-    return acc
-
-
 def _common_denominator(
     fracs: Sequence[RatFn],
 ) -> tuple[list[MultiPoly], MultiPoly]:
@@ -211,14 +203,13 @@ def _reduce_fraction(
         if e == 0:
             i += 1
             continue
-        h = poly_gcd(num, q)
+        h, num, u = _cofactors(num, q)
         if h.is_constant():
             i += 1
             continue
         # q^e = h^e u^e; one copy of h cancels into the numerator
-        num = exact_div(num, h)
         work[i] = [h, e - 1]
-        work.append([exact_div(q, h), e])
+        work.append([u, e])
     den = MultiPoly.const(chart, 1)
     for q, e in work:
         if e > 0:
@@ -245,12 +236,12 @@ def _pth_power_numerators(
         s = 0
         for _ in range(p):
             if s == 0:
-                g = _poly_sum(n * g.diff(k) for k, n in enumerate(nums))
+                g = reduce(add, (n * g.diff(k) for k, n in enumerate(nums)))
                 s = 1
             else:
-                g = _poly_sum(
-                    n * (g.diff(k) * den - g.scale(s) * dden[k])
-                    for k, n in enumerate(nums)
+                g = reduce(
+                    add,
+                    (n * (g.diff(k) * den - g.scale(s) * dden[k]) for k, n in enumerate(nums)),
                 )
                 s += 2
         gs.append(g)
@@ -334,7 +325,7 @@ def integrating_factor(w: DiffForm, fs: Optional[Sequence] = None) -> RatFn:
     wnums, wden = _common_denominator(list(w.coeffs()))
     for x in kernel:
         gs, s, den = _pth_power_numerators(x, p)
-        num = _poly_sum(wn * g for wn, g in zip(wnums, gs))
+        num = reduce(add, (wn * g for wn, g in zip(wnums, gs)))
         if num.is_zero():
             continue
         contraction = _reduce_fraction(num, [(wden, 1), (den, s)])
@@ -401,7 +392,7 @@ def invariant_hypersurface_candidates(
         raise GvError("invariant hypersurfaces are sought for a 1-form")
     if w.chart != chart:
         raise ChartMismatch("the factor and the form live on different charts")
-    if not ext_d(w * factor).is_zero():
+    if not _closed_identity(factor, w):
         raise GvError("the function is not an integrating factor of the form")
     if all(factor.diff(v).is_zero() for v in range(chart.dim)):
         raise GvError(

@@ -16,10 +16,11 @@ exponent and coerces every coefficient, while internal results, canonical by
 construction, go through the trusted `MultiPoly._raw`, which checks nothing.
 
 Greatest common divisors and exact division run on plain term dictionaries.
-Over Q both operands are first scaled to primitive integer polynomials (their
-denominators cleared), and a primitive PRS runs over Z; over F_p the same
-PRS runs on residues.  The gcd is then made monic, and the monic gcd is
-unique, so its value does not depend on the route taken.
+`_cofactors(a, b)` returns the monic gcd g with a/g and b/g, and every
+reduction of a fraction is one call to it.  Over Q it scales both operands
+once to primitive integer polynomials, runs a primitive PRS over Z and
+divides those same integer polynomials by the gcd; over F_p the same PRS
+runs on residues.  The monic gcd is unique, so it does not depend on the route.
 
 All values are immutable after construction and every operation returns a new
 object, so instances can be shared freely between threads.
@@ -59,13 +60,17 @@ class Chart:
     characteristic: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.variables, tuple):
+            raise GvError(f"chart variables must be a tuple, not {self.variables!r}")
+        if type(self.characteristic) is not int:
+            raise GvError(f"bad characteristic {self.characteristic!r}")
         if not self.variables:
             raise GvError("chart needs at least one variable")
+        for v in self.variables:
+            if not (isinstance(v, str) and v.isidentifier()):
+                raise GvError(f"bad variable name {v!r}")
         if len(set(self.variables)) != len(self.variables):
             raise GvError("chart variables must be distinct")
-        for v in self.variables:
-            if not v.isidentifier():
-                raise GvError(f"bad variable name {v!r}")
         p = self.characteristic
         if p != 0:
             if not _is_prime(p):
@@ -140,6 +145,8 @@ class MultiPoly:
     __slots__ = ("chart", "terms")
 
     def __init__(self, chart: Chart, terms: dict) -> None:
+        if not isinstance(chart, Chart):
+            raise GvError(f"a polynomial needs a Chart, not {chart!r}")
         clean: dict[tuple[int, ...], Scalar] = {}
         n = chart.dim
         for exp, c in terms.items():
@@ -540,6 +547,41 @@ def _integral(terms: dict) -> tuple[Fraction, dict]:
     }
 
 
+def _cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """(g, a/g, b/g) for nonzero a and b on one chart, g their monic gcd.
+
+    A constant g comes back with a and b themselves.  Over Q each operand is
+    scaled to a primitive integer polynomial once, and the same integer
+    polynomials are divided by the integer gcd before scaling back.
+    """
+    chart = a.chart
+    ta, tb = a.terms, b.terms
+    if len(ta) == 1 or len(tb) == 1:
+        # every divisor of a monomial is a monomial
+        m = _min_exp([*ta, *tb])
+        g = MultiPoly.monomial(chart, m)
+        if not any(m):
+            return g, a, b
+        return g, *(
+            MultiPoly._raw(chart, {tuple(map(sub, e, m)): c for e, c in t.items()})
+            for t in (ta, tb)
+        )
+    p = chart.characteristic
+    if not p:
+        sa, ta = _integral(ta)
+        sb, tb = _integral(tb)
+    h = _gcd_terms(ta, tb, p)
+    lc = 1 if p else h[max(h, key=_grlex)]
+    g = MultiPoly._raw(chart, h if p else {e: Fraction(c, lc) for e, c in h.items()})
+    if g.is_constant():
+        return g, a, b
+    qa, qb = (MultiPoly._raw(chart, _div_terms(t, h, p)) for t in (ta, tb))
+    if not p:
+        # a = ta/sa and g = h/lc, so a/g = (lc/sa) * ta/h
+        qa, qb = qa * (lc / sa), qb * (lc / sb)
+    return g, qa, qb
+
+
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """The greatest common divisor, monic under graded-lex; divides both inputs."""
     if a.chart != b.chart:
@@ -548,16 +590,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return b.monic()
     if b.is_zero():
         return a.monic()
-    chart = a.chart
-    if len(a.terms) == 1 or len(b.terms) == 1:
-        # every divisor of a monomial is a monomial
-        return MultiPoly.monomial(chart, _min_exp([*a.terms, *b.terms]))
-    p = chart.characteristic
-    if p:
-        return MultiPoly._raw(chart, _gcd_terms(a.terms, b.terms, p))
-    g = _gcd_terms(_integral(a.terms)[1], _integral(b.terms)[1], 0)
-    lc = g[max(g, key=_grlex)]
-    return MultiPoly._raw(chart, {e: Fraction(c, lc) for e, c in g.items()})
+    return _cofactors(a, b)[0]
 
 
 def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -574,8 +607,7 @@ def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     # by Gauss's lemma the quotient by a primitive integer divisor is integral
     sa, ia = _integral(a.terms)
     sb, ib = _integral(b.terms)
-    t = sb / sa
-    return MultiPoly._raw(a.chart, {e: t * c for e, c in _div_terms(ia, ib, 0).items()})
+    return MultiPoly._raw(a.chart, _div_terms(ia, ib, 0)) * (sb / sa)
 
 
 def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
@@ -607,22 +639,19 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
         if sieve.is_constant():
             break
     # sieve carries each factor with multiplicity m-1, except multiples of p
-    # which it carries in full; w is the product of the other factors, once each
-    w = exact_div(f, sieve).monic()
-    rest = sieve.monic()
+    # which it carries in full; w is the product of the other factors, once
+    # each.  f and sieve are monic, so w and every cofactor below are too.
+    w = exact_div(f, sieve)
     out: list[tuple[MultiPoly, int]] = []
     m = 1
     while not w.is_constant():
-        y = poly_gcd(w, rest)
-        part = exact_div(w, y)
+        w, part, sieve = _cofactors(w, sieve)
         if not part.is_constant():
-            out.append((part.monic(), m))
-        w = y.monic()
-        rest = exact_div(rest, y).monic()
+            out.append((part, m))
         m += 1
-    if not rest.is_constant():
+    if not sieve.is_constant():
         # exactly the factors with multiplicity divisible by p remain
-        out.extend(squarefree_decomposition(rest))
+        out.extend(squarefree_decomposition(sieve))
     return out
 
 
@@ -713,23 +742,18 @@ class RatFn:
         d1, d2 = self.den, o.den
         if d1 == d2:
             num = self.num + o.num
-            g = poly_gcd(num, d1) if not d1.is_constant() else None
-            if g is not None and not g.is_constant():
-                return RatFn._raw(exact_div(num, g), exact_div(d1, g))
+            if not (num.is_zero() or d1.is_constant()):
+                _, num, d1 = _cofactors(num, d1)
             return RatFn._raw(num, d1)
         if d1.is_constant() or d2.is_constant():
             return RatFn._raw(self.num * d2 + o.num * d1, d1 * d2)
-        g = poly_gcd(d1, d2)
+        g, u1, u2 = _cofactors(d1, d2)
+        num = self.num * u2 + o.num * u1
         if g.is_constant():
             # coprime denominators: the result is already reduced
-            return RatFn._raw(self.num * d2 + o.num * d1, d1 * d2)
-        u1 = exact_div(d1, g)
-        u2 = exact_div(d2, g)
-        num = self.num * u2 + o.num * u1
-        g2 = poly_gcd(num, g)
-        if not g2.is_constant():
-            num = exact_div(num, g2)
-            g = exact_div(g, g2)
+            return RatFn._raw(num, d1 * d2)
+        # num is nonzero: fractions with different reduced denominators never cancel
+        _, num, g = _cofactors(num, g)
         return RatFn._raw(num, g * u1 * u2)
 
     __radd__ = __add__
@@ -755,15 +779,9 @@ class RatFn:
         # cross-reduce; the cross-reduced product is then already coprime
         n1, d1, n2, d2 = self.num, self.den, o.num, o.den
         if not d2.is_constant():
-            g1 = poly_gcd(n1, d2)
-            if not g1.is_constant():
-                n1 = exact_div(n1, g1)
-                d2 = exact_div(d2, g1)
+            _, n1, d2 = _cofactors(n1, d2)
         if not d1.is_constant():
-            g2 = poly_gcd(n2, d1)
-            if not g2.is_constant():
-                n2 = exact_div(n2, g2)
-                d1 = exact_div(d1, g2)
+            _, n2, d1 = _cofactors(n2, d1)
         return RatFn._raw(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
@@ -775,6 +793,10 @@ class RatFn:
         return self * o.inv()
 
     def __rtruediv__(self, other) -> "RatFn":
+        if isinstance(other, (int, Fraction)):
+            # a scalar over a reduced fraction needs no gcd
+            inv = self.inv()
+            return RatFn._raw(inv.num * other, inv.den)
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
@@ -818,22 +840,11 @@ def rf_normalize(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """Reduce to coprime parts with monic denominator. Raises on zero denominator."""
     if num.chart != den.chart:
         raise ChartMismatch("numerator and denominator on different charts")
-    if den.is_zero():
-        raise ZeroDenominator("zero denominator")
-    chart = num.chart
-    if num.is_zero():
-        return num, MultiPoly.const(chart, 1)
-    if not den.is_constant():
-        g = poly_gcd(num, den)
-        if not g.is_constant():
-            num = exact_div(num, g)
-            den = exact_div(den, g)
-    _, lc = den.leading()
-    if lc != 1:
-        inv = _inv_scalar(chart, lc)
-        num = num * inv
-        den = den * inv
-    return num, den
+    if not (num.is_zero() or den.is_constant()):
+        _, num, den = _cofactors(num, den)
+    # _raw raises on a zero denominator and makes the denominator monic
+    f = RatFn._raw(num, den)
+    return f.num, f.den
 
 
 def as_ratfn(chart: Chart, value) -> RatFn:
@@ -868,8 +879,8 @@ def _gauss_jordan(rows: list[list], width: int) -> list[int]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][col]
-        rows[r] = [x / lead for x in rows[r]]
+        inv = 1 / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
         for i, row in enumerate(rows):
             if i != r and row[col] != 0:
                 factor = row[col]

@@ -335,10 +335,6 @@ def _dlog(f: RatFn) -> DiffForm:
     return DiffForm.one_form(f.chart, coeffs)
 
 
-def _is_constant_fn(f: RatFn) -> bool:
-    return f.num.is_constant() and f.den.is_constant()
-
-
 def _gcd_combination(values: Sequence[int]) -> tuple[int, list[int]]:
     """Positive gcd g of `values` and integers n_i with sum n_i*v_i = g."""
     if not values:
@@ -726,7 +722,7 @@ def _certify_witness(
     # d(fn) = fn * dlog_fn exactly, and fn is nonzero, so checking the
     # logarithmic derivative against the kernel avoids differentiating the
     # possibly huge witness itself.
-    if _is_constant_fn(fn):
+    if fn.is_constant():
         return Inconclusive(branch, "witness degenerated to a constant")
     if not wedge(dlog_fn, top).is_zero():
         return Inconclusive(branch, "witness differential misses the kernel")

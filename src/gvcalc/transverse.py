@@ -225,7 +225,7 @@ def _with_fiber(chart: Chart, name: str) -> tuple[Chart, list[RatFn]]:
     while fiber in chart.variables:
         fiber = f"{name}{k}"
         k += 1
-    product = Chart(chart.variables + (fiber,), chart.characteristic)
+    product = chart.extend(fiber)
     proj = [product.var(v) for v in chart.variables]
     return product, proj
 

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from test_field_oracles import polys
 
 from gvcalc import (
     Chart,
@@ -16,6 +18,7 @@ from gvcalc import (
     RatFn,
     VectorField,
     batch_integrating_factors,
+    d_of,
     dual_frame,
     ext_d,
     form_apply,
@@ -228,6 +231,35 @@ class TestIntegratingFactor:
             assert _closed_identity(f, w)
             assert not _closed_identity(f * x, w)
             assert not _closed_identity(chart.one(), w)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_closed_identity_agrees_with_ext_d(p, dim):
+    # ext_d(w * F).is_zero() is the reference; w = (a/b) dg has the factors
+    # b/a and (b/a) q^p, and r/s is usually not one.  Denominators have at
+    # most 2 terms: on 3 variables at p = 3 or 5, ext_d of a coefficient over
+    # a product of 3-term denominators can run for minutes in the gcd.
+    small = polys(p, max_terms=3, max_exp=2, dim=dim)
+    dens = polys(p, max_terms=2, max_exp=2, dim=dim).filter(lambda f: not f.is_zero())
+    linear = polys(p, max_terms=2, max_exp=1, dim=dim)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(small, dens, dens, small, linear.filter(lambda f: not f.is_zero()), linear)
+    def check(g, a, b, r, s, q):
+        chart = g.chart
+        w = d_of(RatFn.from_poly(g)) * RatFn(a, b)
+        factor = RatFn(b, a)
+        others = [factor * RatFn.from_poly(q) ** p, RatFn(r, s), factor * RatFn(r, s)]
+        assert _closed_identity(factor, w) and _closed_identity(others[0], w)
+        for f in [factor, *others]:
+            assert _closed_identity(f, w) == ext_d(w * f).is_zero()
+        # a form that need not be integrable
+        v = DiffForm.one_form(chart, [RatFn(r, s), RatFn.from_poly(g)] + [RatFn(b, s)] * (dim - 2))
+        for f in (RatFn(r, s), chart.one()):
+            assert _closed_identity(f, v) == ext_d(v * f).is_zero()
+
+    check()
 
 
 class TestCandidates:

@@ -150,6 +150,21 @@ class TestConstructorValidation:
         with pytest.raises(GvError):
             MultiPoly(QXY, {(0, 0): 1, (2, 1): 0.5})
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Chart("xy", 0),
+            lambda: Chart(("x",), 2.0),
+            lambda: Chart(("x", 1)),
+            lambda: Chart(("x",), "2"),
+            lambda: MultiPoly(None, {}),
+        ],
+        ids=["str-variables", "float-characteristic", "int-variable", "str-characteristic", "no-chart"],
+    )
+    def test_bad_chart(self, build):
+        with pytest.raises(GvError):
+            build()
+
 
 class TestExactDiv:
     def test_exact(self):
@@ -308,6 +323,17 @@ class TestRatFn:
         f = (x + y) / (x * y - 1)
         assert f * f.inv() == QXY.one()
         assert f / f == QXY.one()
+
+    @pytest.mark.parametrize("p", [0, 2, 5])
+    def test_scalar_over_function(self, p):
+        chart = Chart(("x", "y"), p)
+        x = chart.var("x")
+        y = chart.var("y")
+        f = (3 * x * y + 1) / (x * x + y)
+        for c in (1, 3, -4, Fraction(2, 3), 0):
+            assert c / f == f.inv() * c
+        with pytest.raises(ZeroDenominator):
+            1 / chart.zero()
 
     def test_pow_negative(self):
         x = QXY.var("x")

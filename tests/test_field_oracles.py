@@ -3,8 +3,9 @@
 Every result computed inside `field` skips validation, so each one is
 checked to be canonical: it survives a round trip through the validating
 constructor, has no zero coefficient, and keeps its coefficients in the
-scalar domain (`Fraction` over Q, ints in [0, p) over F_p).  Division, gcd
-and squarefree decomposition are compared against sympy over QQ and GF(p).
+scalar domain (`Fraction` over Q, ints in [0, p) over F_p).  Division, gcd,
+gcd with cofactors and squarefree decomposition are compared against sympy
+over QQ and GF(p).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from gvcalc import (
     poly_gcd,
     squarefree_decomposition,
 )
+from gvcalc.field import _cofactors
 
 PRIMES = (0, 2, 3, 5, 7)
 VARIABLES = ("x", "y", "z")
@@ -222,6 +224,78 @@ def test_gcd_agrees_with_sympy_on_large_denominators():
     )
     def check(a, b, c, k):
         check_gcd(a * c, b * c * k)
+
+    check()
+
+
+def check_cofactors(a: MultiPoly, b: MultiPoly) -> None:
+    """_cofactors in both orders is canonical, multiplies back exactly, and
+    its gcd is sympy's made monic; a constant gcd returns the operands."""
+    h, _, _ = sympy.cofactors(to_sympy(a), to_sympy(b))
+    expected = from_sympy(h, a.chart).monic()
+    for x, y in ((a, b), (b, a)):
+        g, cx, cy = _cofactors(x, y)
+        for f in (g, cx, cy):
+            assert_canonical(f)
+        assert g == expected
+        assert g * cx == x and g * cy == y
+        if g.is_constant():
+            assert cx is x and cy is y
+
+
+def nonzero(p: int, **sizes):
+    return polys(p, **sizes).filter(lambda f: not f.is_zero())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", PRIMES)
+def test_cofactors_agree_with_sympy(p, dim):
+    @SETTINGS
+    @given(
+        nonzero(p, max_terms=4, max_exp=2, dim=dim),
+        nonzero(p, max_terms=4, max_exp=2, dim=dim),
+        nonzero(p, max_terms=3, max_exp=2, dim=dim),
+    )
+    def check(a, b, c):
+        check_cofactors(a * c, b * c)
+        check_cofactors(a * c, a * c)
+        check_cofactors(a, b)
+        # x*a + 1 and a are coprime
+        check_cofactors(a, a * MultiPoly.var(a.chart, "x") + 1)
+
+    check()
+
+
+@pytest.mark.parametrize("kind", ["monomial", "constant"])
+@pytest.mark.parametrize("p", PRIMES)
+def test_cofactors_of_special_operands_agree_with_sympy(p, kind):
+    @SETTINGS
+    @given(
+        nonzero(p, max_terms=4, max_exp=2, dim=3),
+        nonzero(p, max_terms=3, max_exp=2, dim=3),
+        nonzero(p, dim=3, **SPECIAL[kind]),
+    )
+    def check(a, c, special):
+        check_cofactors(a * c, special)
+        check_cofactors(special, special)
+
+    check()
+
+
+def test_cofactors_agree_with_sympy_on_large_denominators():
+    coeff = st.builds(
+        Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**9)
+    )
+
+    @SETTINGS
+    @given(
+        nonzero(0, max_terms=4, max_exp=2, coeff=coeff),
+        nonzero(0, max_terms=4, max_exp=2, coeff=coeff),
+        nonzero(0, max_terms=3, max_exp=2, coeff=coeff),
+        st.integers(1, 10**6),
+    )
+    def check(a, b, c, k):
+        check_cofactors(a * c, b * c * k)
 
     check()
 
