@@ -45,6 +45,7 @@ from .field import (
     MultiPoly,
     RatFn,
     _cofactors,
+    _drop_variable,
     _gauss_jordan,
     as_ratfn,
     exact_div,
@@ -254,8 +255,10 @@ def vf_pth_power(x: VectorField, p: int) -> VectorField:
     In characteristic p the p-fold composite of a derivation is again a
     derivation, so it is determined by its values on the coordinates.
     """
+    if not isinstance(x, VectorField):
+        raise GvError(f"expected a VectorField, not {x!r}")
     chart = x.chart
-    if p <= 0 or chart.characteristic != p:
+    if type(p) is not int or p <= 0 or chart.characteristic != p:
         raise GvError("the exponent must equal the chart characteristic")
     gs, s, den = _pth_power_numerators(x, p)
     return VectorField(chart, [_reduce_fraction(g, [(den, s)]) for g in gs])
@@ -335,11 +338,6 @@ def integrating_factor(w: DiffForm, fs: Optional[Sequence] = None) -> RatFn:
         _contraction_certificate(w, factor, contraction, kernel)
         return factor
     raise PClosedCase("every kernel p-th power contracts to zero; the kernel is p-closed")
-
-
-def _drop_variable(f: MultiPoly, j: int, target: Chart) -> MultiPoly:
-    """Transfer a polynomial with x_j-degree zero onto the chart without x_j."""
-    return MultiPoly._raw(target, {e[:j] + e[j + 1 :]: c for e, c in f.terms.items()})
 
 
 def _restriction_vanishes(g: MultiPoly, w: DiffForm) -> bool:
@@ -446,6 +444,9 @@ def batch_integrating_factors(
     Forms on two-variable charts are automatically integrable, so every run
     terminates in one of the two declared outcomes.
     """
+    for name, value in (("count", count), ("degree", degree)):
+        if type(value) is not int or value < 0:
+            raise GvError(f"{name} must be a nonnegative int, not {value!r}")
     chart = Chart(tuple(names), p)
     rng = random.Random(seed)
     records = []

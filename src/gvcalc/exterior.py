@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ChartMismatch, GvError, ZeroFunction
-from .field import Chart, MultiPoly, RatFn, as_ratfn
+from .field import Chart, MultiPoly, RatFn, _coerce, as_ratfn
 
 
 class DiffForm:
@@ -21,6 +21,8 @@ class DiffForm:
     __slots__ = ("chart", "degree", "terms")
 
     def __init__(self, chart: Chart, degree: int, terms: dict) -> None:
+        if type(degree) is not int:
+            raise GvError(f"form degree must be an int, not {degree!r}")
         if degree < 0 or degree > chart.dim:
             if degree < 0:
                 raise GvError("form degree must be nonnegative")
@@ -130,9 +132,15 @@ class DiffForm:
 
     def __mul__(self, other) -> "DiffForm":
         """Multiplication by a function or constant."""
-        f = as_ratfn(self.chart, other)
-        if f.is_zero():
-            return DiffForm.zero(self.chart, self.degree)
+        if type(other) is not RatFn and isinstance(other, (int, Fraction)):
+            # a scalar scales each coefficient directly
+            f = _coerce(self.chart, other)
+            if not f:
+                return DiffForm.zero(self.chart, self.degree)
+        else:
+            f = as_ratfn(self.chart, other)
+            if f.is_zero():
+                return DiffForm.zero(self.chart, self.degree)
         return DiffForm(self.chart, self.degree, {i: c * f for i, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -168,6 +176,8 @@ def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]):
 
 def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     """Exterior product."""
+    if not (isinstance(a, DiffForm) and isinstance(b, DiffForm)):
+        raise GvError(f"wedge needs two forms, not {a!r} and {b!r}")
     if a.chart != b.chart:
         raise ChartMismatch("forms on different charts")
     chart = a.chart

@@ -1,26 +1,38 @@
 """Exact sparse multivariate polynomial and rational function arithmetic.
 
-A polynomial is a dictionary mapping exponent tuples to nonzero scalars.  Over
-characteristic zero the scalars are `fractions.Fraction`; over a prime field
-F_p they are canonical residues in [0, p).  The zero polynomial is the empty
-dictionary.  Monomials are ordered graded-lexicographically with respect to
-the chart's variable order; every canonical choice below (leading terms, gcd
+A polynomial is a dictionary mapping exponent tuples to nonzero integers,
+over one positive integer denominator.  Over a prime field F_p the integers
+are canonical residues in [0, p) and the denominator is 1.  Over Q the pair
+is canonical too: the denominator is coprime to the content (the gcd of the
+numerators), so equal polynomials have equal integers and equality and
+hashing compare ints.  A sum or product of polynomials with denominator 1
+never calls gcd; one with a denominator takes one gcd over integers.  The
+zero polynomial is the empty dictionary over 1.  `MultiPoly.terms` is the
+boundary view of the same data: over Q it maps each exponent to a
+`fractions.Fraction`, built when read, and over F_p it is the residue
+dictionary itself.
+
+Monomials are ordered graded-lexicographically with respect to the chart's
+variable order; every canonical choice below (leading terms, gcd
 normalization, printing) refers to that order.
 
 Rational functions are stored normalized: numerator and denominator coprime,
 denominator monic.  Two equal rational functions therefore have identical
-term dictionaries, and equality is literal dictionary comparison.
+parts, and equality is literal comparison of those parts.
 
 Input is validated at the boundary: `MultiPoly(chart, terms)` checks every
-exponent and coerces every coefficient, while internal results, canonical by
+exponent and coerces every coefficient, and the public functions check the
+types of their arguments, while internal results, canonical by
 construction, go through the trusted `MultiPoly._raw`, which checks nothing.
 
-Greatest common divisors and exact division run on plain term dictionaries.
+Products, sums, greatest common divisors and exact division run on the
+integer dictionaries themselves (`intpoly`, one core for Q and F_p); a
+denominator is a scalar and changes neither gcd nor divisibility.
 `_cofactors(a, b)` returns the monic gcd g with a/g and b/g, and every
-reduction of a fraction is one call to it.  Over Q it scales both operands
-once to primitive integer polynomials, runs a primitive PRS over Z and
-divides those same integer polynomials by the gcd; over F_p the same PRS
-runs on residues.  The monic gcd is unique, so it does not depend on the route.
+reduction of a fraction is one call to it.  A primitive PRS runs over Z on
+the numerators of both operands (over F_p, on their residues), and the same
+dictionaries are divided by the gcd.  The monic gcd is unique, so it does not
+depend on the route.
 
 All values are immutable after construction and every operation returns a new
 object, so instances can be shared freely between threads.
@@ -29,12 +41,14 @@ object, so instances can be shared freely between threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import sub
 from typing import Iterable, Sequence, Union
 
 from .errors import ChartMismatch, GvError, ZeroDenominator
+from .intpoly import _add_terms, _div_terms, _gcd_terms, _grlex, _min_exp, _mul_terms, _times
 
 Scalar = Union[Fraction, int]
 
@@ -106,13 +120,14 @@ class Chart:
 
 
 def _coerce(chart: Chart, c) -> Scalar:
-    """Normalize a coefficient into the chart's scalar domain."""
+    """Normalize a coefficient into the chart's scalar domain.
+
+    Over Q an int or a Fraction comes back as it is; over F_p the residue.
+    """
     p = chart.characteristic
     if p == 0:
-        if isinstance(c, Fraction):
+        if isinstance(c, (int, Fraction)):
             return c
-        if isinstance(c, int):
-            return Fraction(c)
         raise GvError(f"bad coefficient {c!r} for characteristic 0")
     if isinstance(c, Fraction):
         den = c.denominator % p
@@ -124,15 +139,35 @@ def _coerce(chart: Chart, c) -> Scalar:
     raise GvError(f"bad coefficient {c!r} for characteristic {p}")
 
 
-def _inv_scalar(chart: Chart, c: Scalar) -> Scalar:
-    p = chart.characteristic
-    if p == 0:
-        return Fraction(1) / c
-    return pow(int(c), p - 2, p)
+def _require_polys(what: str, *values) -> None:
+    for v in values:
+        if not isinstance(v, MultiPoly):
+            raise GvError(f"{what} needs MultiPoly arguments, not {v!r}")
 
 
-def _grlex(exp: tuple[int, ...]) -> tuple:
-    return (sum(exp), exp)
+class _FractionTerms(Mapping):
+    """Read-only view of a polynomial over Q: exponent -> Fraction, built on access."""
+
+    __slots__ = ("_ints", "_den")
+
+    def __init__(self, ints: dict, den: int) -> None:
+        self._ints = ints
+        self._den = den
+
+    def __getitem__(self, exp) -> Fraction:
+        return Fraction(self._ints[exp], self._den)
+
+    def __contains__(self, exp) -> bool:
+        return exp in self._ints
+
+    def __iter__(self):
+        return iter(self._ints)
+
+    def __len__(self) -> int:
+        return len(self._ints)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 class MultiPoly:
@@ -142,11 +177,13 @@ class MultiPoly:
     coefficients, reduces mod p and drops zeros; `_raw` trusts its input.
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "_ints", "_den")
 
     def __init__(self, chart: Chart, terms: dict) -> None:
         if not isinstance(chart, Chart):
             raise GvError(f"a polynomial needs a Chart, not {chart!r}")
+        if not isinstance(terms, Mapping):
+            raise GvError(f"polynomial terms must be a mapping, not {terms!r}")
         clean: dict[tuple[int, ...], Scalar] = {}
         n = chart.dim
         for exp, c in terms.items():
@@ -156,19 +193,33 @@ class MultiPoly:
             c = _coerce(chart, c)
             if c:
                 clean[exp] = c
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "terms", clean)
+        den = 1
+        if not chart.characteristic and clean:
+            # the lcm of reduced denominators is coprime to the scaled numerators
+            den = math.lcm(*(c.denominator for c in clean.values()))
+            clean = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        _set_chart(self, chart)
+        _set_ints(self, clean)
+        _set_den(self, den)
 
     @classmethod
-    def _raw(cls, chart: Chart, terms: dict) -> "MultiPoly":
-        """Trusted constructor: exponents well formed, coefficients canonical and nonzero."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "chart", chart)
-        object.__setattr__(out, "terms", terms)
+    def _raw(cls, chart: Chart, ints: dict, den: int = 1) -> "MultiPoly":
+        """Trusted constructor: exponents well formed, (ints, den) canonical."""
+        out = _new(cls)
+        _set_chart(out, chart)
+        _set_ints(out, ints)
+        _set_den(out, den)
         return out
 
     def __setattr__(self, *a) -> None:  # pragma: no cover - guard only
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def terms(self) -> Mapping:
+        """Exponent -> coefficient: a `Fraction` over Q, a residue over F_p."""
+        if self.chart.characteristic:
+            return self._ints
+        return _FractionTerms(self._ints, self._den)
 
     # -- constructors -------------------------------------------------
 
@@ -193,111 +244,135 @@ class MultiPoly:
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(map(any, self._ints))
 
     def constant_value(self) -> Scalar:
-        if self.is_zero():
-            return Fraction(0) if self.chart.characteristic == 0 else 0
+        q = self.chart.characteristic == 0
+        if not self._ints:
+            return Fraction(0) if q else 0
         if not self.is_constant():
             raise GvError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        (c,) = self._ints.values()
+        return Fraction(c, self._den) if q else c
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._ints:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self._ints))
 
     def degree_in(self, v: int) -> int:
-        if not self.terms:
+        if not self._ints:
             return -1
-        return max(e[v] for e in self.terms)
+        return max(e[v] for e in self._ints)
 
     def leading(self) -> tuple[tuple[int, ...], Scalar]:
         """Leading (exponent, coefficient) in graded-lex order."""
-        if not self.terms:
+        if not self._ints:
             raise GvError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex)
+        exp = max(self._ints, key=_grlex)
         return exp, self.terms[exp]
 
     def coeff_of_power(self, v: int, k: int) -> "MultiPoly":
         """The coefficient of x_v^k, as a polynomial with x_v-exponent zero."""
-        return MultiPoly._raw(self.chart, _coeffs(self.terms, v).get(k, {}))
+        part = {
+            e[:v] + (0,) + e[v + 1 :] if k else e: c
+            for e, c in self._ints.items()
+            if e[v] == k
+        }
+        return _reduced(self.chart, part, self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
+        return (
+            self._den == other._den
+            and self._ints == other._ints
+            and self.chart == other.chart
+        )
 
     def __hash__(self) -> int:
-        return hash((self.chart, frozenset(self.terms.items())))
+        return hash((self.chart, self._den, frozenset(self._ints.items())))
 
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other: "MultiPoly") -> None:
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatch("polynomials on different charts")
 
     def __add__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.chart, other)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MultiPoly.const(self.chart, other)
         self._check(other)
-        p = self.chart.characteristic
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if p:
-                s %= p
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return MultiPoly._raw(self.chart, out)
+        a, b = self._ints, other._ints
+        if not b:
+            return self
+        if not a:
+            return other
+        den, db = self._den, other._den
+        if den != db:
+            den = math.lcm(den, db)
+            a, b = _times(a, den // self._den), _times(b, den // db)
+        return _reduced(self.chart, _add_terms(a, b, self.chart.characteristic), den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
         p = self.chart.characteristic
-        return MultiPoly._raw(self.chart, {e: (-c) % p if p else -c for e, c in self.terms.items()})
+        ints = {e: p - c for e, c in self._ints.items()} if p else _times(self._ints, -1)
+        return MultiPoly._raw(self.chart, ints, self._den)
 
     def __sub__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.chart, other)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MultiPoly.const(self.chart, other)
         return self + (-other)
 
     def __rsub__(self, other) -> "MultiPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            c = _coerce(self.chart, other)
-            if not c:
-                return MultiPoly.zero(self.chart)
-            p = self.chart.characteristic
-            return MultiPoly._raw(
-                self.chart,
-                {e: (a * c) % p if p else a * c for e, a in self.terms.items()},
-            )
+        chart = self.chart
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            c = _coerce(chart, other)
+            if not c:
+                return MultiPoly._raw(chart, {})
+            return _scaled(self, c.numerator, c.denominator)
         self._check(other)
-        return MultiPoly._raw(
-            self.chart, _mul_terms(self.terms, other.terms, self.chart.characteristic)
-        )
+        if _is_one(other):
+            return self
+        if _is_one(self):
+            return other
+        a, b = self._ints, other._ints
+        if not (a and b):
+            return MultiPoly._raw(chart, {})
+        ints = _mul_terms(a, b, chart.characteristic)
+        da, db = self._den, other._den
+        den = da * db
+        if den != 1:
+            # content(a*b) = content(a)*content(b), each coprime to its own denominator
+            g = (math.gcd(da, *b.values()) if da != 1 else 1) * (
+                math.gcd(db, *a.values()) if db != 1 else 1
+            )
+            if g != 1:
+                ints = {e: c // g for e, c in ints.items()}
+                den //= g
+        return MultiPoly._raw(chart, ints, den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise GvError("negative power of a polynomial")
-        result = MultiPoly.const(self.chart, 1)
+        result = _one(self.chart)
         base = self
         while k:
             if k & 1:
@@ -311,10 +386,12 @@ class MultiPoly:
 
     def monic(self) -> "MultiPoly":
         """Divide by the graded-lex leading coefficient."""
-        if self.is_zero():
+        ints = self._ints
+        if not ints:
             return self
-        _, lc = self.leading()
-        return self * _inv_scalar(self.chart, lc)
+        # the leading coefficient is lc/den
+        lc = ints[max(ints, key=_grlex)]
+        return self if lc == self._den else _scaled(self, self._den, lc)
 
     # -- calculus ------------------------------------------------------
 
@@ -323,20 +400,18 @@ class MultiPoly:
         if isinstance(v, str):
             v = self.chart.index(v)
         p = self.chart.characteristic
-        out: dict[tuple[int, ...], Scalar] = {}
-        for e, c in self.terms.items():
+        out: dict[tuple[int, ...], int] = {}
+        for e, c in self._ints.items():
             k = e[v]
             if k == 0:
                 continue
             s = c * k
             if p:
                 s %= p
-            if not s:
-                continue
-            e2 = list(e)
-            e2[v] = k - 1
-            out[tuple(e2)] = s
-        return MultiPoly._raw(self.chart, out)
+                if not s:
+                    continue
+            out[e[:v] + (k - 1,) + e[v + 1 :]] = s
+        return _reduced(self.chart, out, self._den)
 
     def substitute(self, values: Sequence["RatFn"]) -> "RatFn":
         """Evaluate at rational functions, one per chart variable, on their chart."""
@@ -357,12 +432,14 @@ class MultiPoly:
             return cache[k]
 
         total = target.zero()
-        for e, c in self.terms.items():
-            term = target.const(c if self.chart.characteristic == 0 else int(c))
+        for e, c in self._ints.items():
+            term = None
             for i, k in enumerate(e):
                 if k:
-                    term = term * var_power(i, k)
-            total = total + term
+                    term = var_power(i, k) if term is None else term * var_power(i, k)
+            total = total + (c if term is None else term * c)
+        if self._den != 1:
+            total = total * Fraction(1, self._den)
         return total
 
     # -- printing --------------------------------------------------------
@@ -372,6 +449,57 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({poly_str(self)})"
+
+
+# the slot setters, which bypass the immutability guard of __setattr__
+_new = object.__new__
+_set_chart, _set_ints, _set_den = (MultiPoly.__dict__[n].__set__ for n in MultiPoly.__slots__)
+
+
+def _one(chart: Chart) -> MultiPoly:
+    return MultiPoly._raw(chart, {(0,) * chart.dim: 1})
+
+
+def _is_one(f: MultiPoly) -> bool:
+    if f._den != 1 or len(f._ints) != 1:
+        return False
+    ((e, c),) = f._ints.items()
+    return c == 1 and not any(e)
+
+
+def _reduced(chart: Chart, ints: dict, den: int) -> MultiPoly:
+    """The canonical polynomial ints/den, for nonzero int values and a nonzero den."""
+    if den != 1:
+        if not ints:
+            den = 1
+        else:
+            g = math.gcd(den, *ints.values())
+            if den < 0:
+                g = -g
+            if g != 1:
+                ints = {e: c // g for e, c in ints.items()}
+                den //= g
+    return MultiPoly._raw(chart, ints, den)
+
+
+def _scaled(f: MultiPoly, n: int, m: int) -> MultiPoly:
+    """f times the nonzero scalar n/m; over F_p, m is a unit."""
+    p = f.chart.characteristic
+    if p:
+        k = n * pow(m, p - 2, p) % p
+        return MultiPoly._raw(f.chart, {e: c * k % p for e, c in f._ints.items()})
+    return _reduced(f.chart, _times(f._ints, n), f._den * m)
+
+
+def _drop_variable(f: MultiPoly, v: int, target: Chart) -> MultiPoly:
+    """Transfer a polynomial with x_v-degree zero onto the chart without x_v."""
+    return MultiPoly._raw(target, {e[:v] + e[v + 1 :]: c for e, c in f._ints.items()}, f._den)
+
+
+def _cleared_terms(polys: Sequence[MultiPoly]) -> list[dict]:
+    """The integer term dicts of the polynomials times their common denominator."""
+    scale = math.lcm(*(f._den for f in polys))
+    return [_times(f._ints, scale // f._den) for f in polys]
 
 
 def _term_str(chart: Chart, exp: tuple[int, ...], coeff: Scalar) -> str:
@@ -392,11 +520,14 @@ def _term_str(chart: Chart, exp: tuple[int, ...], coeff: Scalar) -> str:
 
 def poly_str(f: MultiPoly) -> str:
     """Canonical printing: terms in descending graded-lex order."""
-    if f.is_zero():
+    _require_polys("poly_str", f)
+    ints, den = f._ints, f._den
+    if not ints:
         return "0"
     pieces = []
-    for exp in sorted(f.terms, key=_grlex, reverse=True):
-        s = _term_str(f.chart, exp, f.terms[exp])
+    for exp in sorted(ints, key=_grlex, reverse=True):
+        c = ints[exp]
+        s = _term_str(f.chart, exp, Fraction(c, den) if den != 1 else c)
         if not pieces:
             pieces.append(s)
         elif s.startswith("-"):
@@ -406,184 +537,39 @@ def poly_str(f: MultiPoly) -> str:
     return " ".join(pieces)
 
 
-# -- term-dict core --------------------------------------------------------
-#
-# Plain {exponent: coefficient} dicts, reduced mod p when p > 0.  Product and
-# split also serve MultiPoly over Q; division and gcd need int coefficients
-# when p = 0, so there they work over Z.
-
-
-def _mul_terms(a: dict, b: dict, p: int, out: dict | None = None) -> dict:
-    """Add the product of term dicts a and b into out (a new dict by default)."""
-    out = {} if out is None else out
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if p:
-                s %= p
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
-
-
-def _coeffs(terms: dict, v: int) -> dict[int, dict]:
-    """Split by the exponent of x_v: k -> coefficient of x_v^k, its x_v-exponent zero."""
-    out: dict[int, dict] = {}
-    for e, c in terms.items():
-        k = e[v]
-        out.setdefault(k, {})[e[:v] + (0,) + e[v + 1 :] if k else e] = c
-    return out
-
-
-def _div_terms(a: dict, b: dict, p: int) -> dict:
-    """Exact quotient of nonzero term dicts over Z or F_p; raises unless b divides a."""
-    eb = max(b, key=_grlex)
-    lc = b[eb]
-    inv = pow(lc, p - 2, p) if p else None
-    tail = [(sum(e), e, c) for e, c in b.items() if e != eb]
-    db = sum(eb)
-    q = {}
-    # remainder keyed by grlex key; each step cancels its leading term in place
-    r = {(sum(e), e): c for e, c in a.items()}
-    while r:
-        key = max(r)
-        cr = r.pop(key)
-        diff = tuple(map(sub, key[1], eb))
-        c = cr * inv % p if p else cr // lc
-        if min(diff) < 0 or (not p and c * lc != cr):
-            raise GvError("polynomial division is not exact")
-        q[diff] = c
-        dd = key[0] - db
-        for d, e, ct in tail:
-            k = (dd + d, tuple(map(add, diff, e)))
-            s = r.get(k, 0) - c * ct
-            if p:
-                s %= p
-            if s:
-                r[k] = s
-            else:
-                r.pop(k, None)
-    return q
-
-
-def _min_exp(exps) -> tuple[int, ...]:
-    """Componentwise minimum of exponent tuples: the monomial content."""
-    return tuple(map(min, zip(*exps)))
-
-
-def _normal(terms: dict, p: int) -> dict:
-    """Over Z: no integer content and a positive leading coefficient; over F_p: monic."""
-    lc = terms[max(terms, key=_grlex)]
-    if p:
-        inv = pow(lc, p - 2, p)
-        return {e: c * inv % p for e, c in terms.items()} if inv != 1 else terms
-    g = math.gcd(*terms.values())
-    g = -g if lc < 0 else g
-    return {e: c // g for e, c in terms.items()} if g != 1 else terms
-
-
-def _primitive(f: dict, v: int, p: int) -> tuple[dict, dict]:
-    """(primitive part, content) of f as a polynomial in x_v."""
-    parts = sorted(_coeffs(f, v).values(), key=len)
-    content = parts[0]
-    one = {(0,) * len(next(iter(f))): 1}
-    for c in parts[1:]:
-        content = _gcd_terms(content, c, p)
-        if content == one:
-            break
-    return _normal(_div_terms(f, content, p), p), content
-
-
-def _gcd_terms(a: dict, b: dict, p: int) -> dict:
-    """A gcd of nonzero term dicts over Z (p = 0) or F_p, normalized by `_normal`.
-
-    Primitive PRS (W. S. Brown, J. ACM 18, 1971) in the last variable that
-    occurs, with the contents in that variable taken recursively.
-    """
-    if len(a) == 1 or len(b) == 1:
-        # every divisor of a monomial is a monomial
-        return {_min_exp([*a, *b]): 1}
-    if a == b:
-        return _normal(a, p)
-    sa, sb = _min_exp(a), _min_exp(b)
-    shared = {tuple(map(min, sa, sb)): 1}
-    if any(sa):
-        a = {tuple(map(sub, e, sa)): c for e, c in a.items()}
-    if any(sb):
-        b = {tuple(map(sub, e, sb)): c for e, c in b.items()}
-    v = max(i for i, d in enumerate(map(max, zip(*a, *b))) if d)
-    a, ca = _primitive(a, v, p)
-    b, cb = _primitive(b, v, p)
-    if max(e[v] for e in a) < max(e[v] for e in b):
-        a, b = b, a
-    while b:
-        # pseudo-remainder of a by b in x_v, then its primitive part
-        parts = _coeffs(b, v)
-        db = max(parts)
-        lb = parts[db]
-        r = a
-        while r:
-            parts = _coeffs(r, v)
-            dr = max(parts)
-            if dr < db:
-                break
-            lr = {e[:v] + (dr - db,) + e[v + 1 :]: -c for e, c in parts[dr].items()}
-            r = _mul_terms(lr, b, p, _mul_terms(lb, r, p))
-        a, b = b, _primitive(r, v, p)[0] if r else r
-    g = _mul_terms(shared, _gcd_terms(ca, cb, p), p)
-    # products of normalized factors are normalized (Gauss's lemma over Z)
-    return _mul_terms(g, a, p) if max(e[v] for e in a) else g
-
-
-def _integral(terms: dict) -> tuple[Fraction, dict]:
-    """(s, s*f) for a nonzero f over Q, s > 0 and s*f a primitive integer term dict."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    num = math.gcd(*(c.numerator for c in terms.values()))
-    return Fraction(den, num), {
-        e: c.numerator // num * (den // c.denominator) for e, c in terms.items()
-    }
-
-
 def _cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
     """(g, a/g, b/g) for nonzero a and b on one chart, g their monic gcd.
 
-    A constant g comes back with a and b themselves.  Over Q each operand is
-    scaled to a primitive integer polynomial once, and the same integer
-    polynomials are divided by the integer gcd before scaling back.
+    A constant g comes back with a and b themselves.  The gcd and both
+    divisions run on the numerators; over Q the primitive gcd h with leading
+    coefficient lc gives g = h/lc, so a/g is (numerators of a)/h times lc
+    over the denominator of a.
     """
     chart = a.chart
-    ta, tb = a.terms, b.terms
+    ta, tb = a._ints, b._ints
     if len(ta) == 1 or len(tb) == 1:
         # every divisor of a monomial is a monomial
         m = _min_exp([*ta, *tb])
-        g = MultiPoly.monomial(chart, m)
+        g = MultiPoly._raw(chart, {m: 1})
         if not any(m):
             return g, a, b
         return g, *(
-            MultiPoly._raw(chart, {tuple(map(sub, e, m)): c for e, c in t.items()})
-            for t in (ta, tb)
+            MultiPoly._raw(chart, {tuple(map(sub, e, m)): c for e, c in f._ints.items()}, f._den)
+            for f in (a, b)
         )
     p = chart.characteristic
-    if not p:
-        sa, ta = _integral(ta)
-        sb, tb = _integral(tb)
     h = _gcd_terms(ta, tb, p)
-    lc = 1 if p else h[max(h, key=_grlex)]
-    g = MultiPoly._raw(chart, h if p else {e: Fraction(c, lc) for e, c in h.items()})
+    lc = h[max(h, key=_grlex)]  # 1 over F_p, positive over Z
+    g = MultiPoly._raw(chart, h, lc)
     if g.is_constant():
         return g, a, b
-    qa, qb = (MultiPoly._raw(chart, _div_terms(t, h, p)) for t in (ta, tb))
-    if not p:
-        # a = ta/sa and g = h/lc, so a/g = (lc/sa) * ta/h
-        qa, qb = qa * (lc / sa), qb * (lc / sb)
-    return g, qa, qb
+    qa, qb = _div_terms(ta, h, p), _div_terms(tb, h, p)
+    return g, _reduced(chart, _times(qa, lc), a._den), _reduced(chart, _times(qb, lc), b._den)
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """The greatest common divisor, monic under graded-lex; divides both inputs."""
+    _require_polys("poly_gcd", a, b)
     if a.chart != b.chart:
         raise ChartMismatch("gcd of polynomials on different charts")
     if a.is_zero():
@@ -595,19 +581,27 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Exact quotient a / b; raises if b does not divide a."""
+    _require_polys("exact_div", a, b)
+    if a.chart != b.chart:
+        raise ChartMismatch("division of polynomials on different charts")
     if b.is_zero():
         raise ZeroDenominator("division by the zero polynomial")
     if a.is_zero():
         return a
+    ta, tb = a._ints, b._ints
     if b.is_constant():
-        return a * _inv_scalar(a.chart, b.constant_value())
-    p = a.chart.characteristic
+        # b is c/db, so a/b is a times db/c
+        return _scaled(a, b._den, next(iter(tb.values())))
+    chart = a.chart
+    p = chart.characteristic
     if p:
-        return MultiPoly._raw(a.chart, _div_terms(a.terms, b.terms, p))
-    # by Gauss's lemma the quotient by a primitive integer divisor is integral
-    sa, ia = _integral(a.terms)
-    sb, ib = _integral(b.terms)
-    return MultiPoly._raw(a.chart, _div_terms(ia, ib, 0)) * (sb / sa)
+        return MultiPoly._raw(chart, _div_terms(ta, tb, p))
+    # b = content * (primitive tb); by Gauss's lemma ta / (primitive tb) is integral
+    content = math.gcd(*tb.values())
+    if content != 1:
+        tb = {e: c // content for e, c in tb.items()}
+    q = _div_terms(ta, tb, 0)
+    return _reduced(chart, _times(q, b._den), a._den * content)
 
 
 def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
@@ -620,6 +614,7 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
     a p-th power, whose root is recovered by dividing every exponent by p
     (coefficients in the prime field are fixed by Frobenius) and recursing.
     """
+    _require_polys("squarefree_decomposition", f)
     chart = f.chart
     if f.is_zero() or f.is_constant():
         return []
@@ -627,7 +622,7 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
     if p and all(f.diff(v).is_zero() for v in range(chart.dim)):
         # every exponent of every term is divisible by p
         root = MultiPoly._raw(
-            chart, {tuple(e // p for e in exp): c for exp, c in f.terms.items()}
+            chart, {tuple(e // p for e in exp): c for exp, c in f._ints.items()}
         )
         return [(g, m * p) for g, m in squarefree_decomposition(root)]
     f = f.monic()
@@ -662,8 +657,8 @@ class RatFn:
 
     def __init__(self, num: MultiPoly, den: MultiPoly) -> None:
         num, den = rf_normalize(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_rf_den(self, den)
 
     def __setattr__(self, *a) -> None:  # pragma: no cover - guard only
         raise AttributeError("RatFn is immutable")
@@ -671,24 +666,24 @@ class RatFn:
     @classmethod
     def _raw(cls, num: MultiPoly, den: MultiPoly) -> "RatFn":
         """Trusted constructor: parts already coprime, den only needs scaling."""
-        out = object.__new__(cls)
-        if den.is_zero():
+        out = _new(cls)
+        dd = den._ints
+        if not dd:
             raise ZeroDenominator("zero denominator")
-        if num.is_zero():
-            den = MultiPoly.const(num.chart, 1)
+        if not num._ints:
+            den = _one(num.chart)
         else:
-            _, lc = den.leading()
-            if lc != 1:
-                inv = _inv_scalar(num.chart, lc)
-                num = num * inv
-                den = den * inv
-        object.__setattr__(out, "num", num)
-        object.__setattr__(out, "den", den)
+            lc = dd[max(dd, key=_grlex)]
+            if lc != den._den:
+                # scale both parts by den._den/lc, which makes den monic
+                num, den = _scaled(num, den._den, lc), _scaled(den, den._den, lc)
+        _set_num(out, num)
+        _set_rf_den(out, den)
         return out
 
     @classmethod
     def from_poly(cls, num: MultiPoly) -> "RatFn":
-        return cls._raw(num, MultiPoly.const(num.chart, 1))
+        return cls._raw(num, _one(num.chart))
 
     @property
     def chart(self) -> Chart:
@@ -703,13 +698,11 @@ class RatFn:
     def constant_value(self) -> Scalar:
         if not self.is_constant():
             raise GvError("not a constant")
-        p = self.chart.characteristic
-        c = self.num.constant_value()
-        d = self.den.constant_value()
-        return c / d if p == 0 else c * pow(int(d), p - 2, p) % p
+        # a constant monic denominator is 1
+        return self.num.constant_value()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not RatFn and isinstance(other, (int, Fraction)):
             if not other:
                 return self.is_zero()  # no constant to build for the common test
             other = self.chart.const(other)
@@ -732,6 +725,9 @@ class RatFn:
         return None
 
     def __add__(self, other) -> "RatFn":
+        if type(other) is not RatFn and isinstance(other, (int, Fraction)):
+            # gcd(num + c*den, den) = gcd(num, den) = 1: already reduced
+            return RatFn._raw(self.num + self.den * other, self.den)
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
@@ -762,6 +758,8 @@ class RatFn:
         return RatFn._raw(-self.num, self.den)
 
     def __sub__(self, other) -> "RatFn":
+        if type(other) is not RatFn and isinstance(other, (int, Fraction)):
+            return self + (-other)
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
@@ -771,6 +769,9 @@ class RatFn:
         return (-self) + other
 
     def __mul__(self, other) -> "RatFn":
+        if type(other) is not RatFn and isinstance(other, (int, Fraction)):
+            # a zero scalar, or one that vanishes mod p, gives the zero function
+            return RatFn._raw(self.num * other, self.den)
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
@@ -836,8 +837,12 @@ class RatFn:
         return f"RatFn({self})"
 
 
+_set_num, _set_rf_den = (RatFn.__dict__[n].__set__ for n in RatFn.__slots__)
+
+
 def rf_normalize(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """Reduce to coprime parts with monic denominator. Raises on zero denominator."""
+    _require_polys("a rational function", num, den)
     if num.chart != den.chart:
         raise ChartMismatch("numerator and denominator on different charts")
     if not (num.is_zero() or den.is_constant()):

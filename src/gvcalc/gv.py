@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     DecompositionFails,
@@ -55,7 +55,7 @@ from .exterior import (
     wedge,
     wedge_all,
 )
-from .field import Chart, MultiPoly, RatFn, _gauss_jordan, as_ratfn
+from .field import Chart, MultiPoly, RatFn, _cleared_terms, _gauss_jordan, as_ratfn
 from .zseries import (
     FormalOmega,
     Substitution,
@@ -113,6 +113,8 @@ class GVSequence(FormalOmega):
         forms: Sequence[DiffForm],
         declared_length: Optional[int] = None,
     ) -> None:
+        if not isinstance(forms, Iterable):
+            raise GvError(f"a sequence needs an iterable of 1-forms, not {forms!r}")
         forms = tuple(forms)
         chart = forms[0].chart if forms and isinstance(forms[0], DiffForm) else None
         super().__init__(chart, forms)
@@ -297,6 +299,11 @@ class PullbackReport:
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+def _require_sequence(s) -> None:
+    if not isinstance(s, GVSequence):
+        raise GvError(f"expected a GVSequence, not {s!r}")
 
 
 def form_ratio(a: DiffForm, b: DiffForm) -> Optional[RatFn]:
@@ -578,6 +585,7 @@ def gv_invariant(s: GVSequence) -> DiffForm:
     -omega_1 /\ d omega_1 and is closed; both identities are re-checked.
     Its vanishing is the entry point for transversely projective behaviour.
     """
+    _require_sequence(s)
     if s.stored < 3 and not s.is_finite:
         raise GvError("the invariant needs the first three entries")
     w0, w1, w2 = s.omega(0), s.omega(1), s.omega(2)
@@ -604,6 +612,7 @@ def finite_gv_verify(s: GVSequence) -> FiniteGVReport:
           (with omega_{N+1} = 0).
     Together they are equivalent to integrability of the extended form.
     """
+    _require_sequence(s)
     if not s.is_finite:
         raise GvError("finite verification needs a declared finite sequence")
     t = s.trimmed()
@@ -854,16 +863,11 @@ def _express_in_powers(
     for _ in range(degree):
         apow.append(apow[-1] * a)
         bpow.append(bpow[-1] * b)
-    cols = [apow[i] * bpow[degree - i] * v for i in range(degree + 1)]
-    rhs = u * bpow[degree]
-    support: set = set(rhs.terms)
-    for c in cols:
-        support.update(c.terms)
-    rows = []
-    for m in sorted(support):
-        row = [Fraction(c.terms.get(m, 0)) for c in cols]
-        row.append(Fraction(rhs.terms.get(m, 0)))
-        rows.append(row)
+    polys = [apow[i] * bpow[degree - i] * v for i in range(degree + 1)]
+    polys.append(u * bpow[degree])
+    # every equation times the common denominator: integer coefficients
+    cols = _cleared_terms(polys)
+    rows = [[Fraction(c.get(m, 0)) for c in cols] for m in sorted(set().union(*cols))]
     width = degree + 1
     pivots = _gauss_jordan(rows, width)
     if any(row[width] != 0 for row in rows[len(pivots):]):

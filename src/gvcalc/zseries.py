@@ -19,7 +19,7 @@ from math import comb, factorial
 from typing import Sequence
 
 from .errors import ChartMismatch, GvError, VanishingLeadCoefficient, ZeroDenominator
-from .field import Chart, MultiPoly, RatFn, as_ratfn
+from .field import Chart, MultiPoly, RatFn, _drop_variable, as_ratfn
 from .exterior import DiffForm, ext_d, wedge
 
 
@@ -166,13 +166,7 @@ def from_extended_form(form: DiffForm, zname: str = "z") -> FormalOmega:
         raise GvError("the dz coefficient must be exactly 1")
 
     def drop_z(f: MultiPoly, zdeg: int) -> MultiPoly:
-        out = {}
-        for e, c in f.terms.items():
-            if e[zi] != zdeg:
-                continue
-            e2 = tuple(x for i, x in enumerate(e) if i != zi)
-            out[e2] = c
-        return MultiPoly._raw(base, out)
+        return _drop_variable(f.coeff_of_power(zi, zdeg), zi, base)
 
     degree = 0
     columns: dict[int, dict[int, RatFn]] = {}

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
-from gvcalc import Chart, GvError, ZeroFunction
+from gvcalc import Chart, GvError, ZeroDenominator, ZeroFunction
 from gvcalc.exterior import (
     DiffForm,
     VectorField,
@@ -49,6 +51,21 @@ class TestFormBasics:
         assert f.coeff((0,)) == x
         assert f.coeff((1,)) == C2.one()
         assert (f - f).is_zero()
+
+    @pytest.mark.parametrize("p", [0, 2, 5])
+    @pytest.mark.parametrize("c", [0, 3, -1, 5, 10, Fraction(7, 3), Fraction(5, 2)])
+    def test_scalar_product_agrees_with_constant_function(self, p, c):
+        chart = Chart(("x", "y"), p)
+        x, y = chart.var("x"), chart.var("y")
+        f = DiffForm.one_form(chart, [x * y + 1, 1 / (y + 3)])
+        try:
+            k = chart.const(c)
+        except ZeroDenominator:
+            with pytest.raises(ZeroDenominator):
+                f * c
+            return
+        for fast, general in ((f * c, f * k), (c * f, k * f)):
+            assert fast == general and str(fast) == str(general)
 
     def test_one_form_coeffs_roundtrip(self):
         x, y = C2.var("x"), C2.var("y")

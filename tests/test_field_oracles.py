@@ -2,15 +2,22 @@
 
 Every result computed inside `field` skips validation, so each one is
 checked to be canonical: it survives a round trip through the validating
-constructor, has no zero coefficient, and keeps its coefficients in the
-scalar domain (`Fraction` over Q, ints in [0, p) over F_p).  Division, gcd,
-gcd with cofactors and squarefree decomposition are compared against sympy
-over QQ and GF(p).
+constructor, has no zero coefficient, keeps its coefficients in the scalar
+domain (`Fraction` over Q, ints in [0, p) over F_p), and its stored integers
+are in canonical form (a positive denominator coprime to the content of the
+numerators; denominator 1 over F_p).  Division, gcd, gcd with cofactors and
+squarefree decomposition are compared against sympy over QQ and GF(p).  The
+integer core is compared, operation by operation, with plain loops over
+`Fraction` coefficients on large numerators and denominators, and the
+scalar shortcuts of `RatFn` with its general path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import math
+from operator import add
 
 import pytest
 import sympy
@@ -21,6 +28,8 @@ from gvcalc import (
     Chart,
     GvError,
     MultiPoly,
+    RatFn,
+    ZeroDenominator,
     exact_div,
     poly_gcd,
     squarefree_decomposition,
@@ -50,10 +59,25 @@ def nonconstant(p: int, **sizes):
     return polys(p, **sizes).filter(lambda f: not f.is_constant())
 
 
+def assert_int_form(f: MultiPoly) -> None:
+    """The stored integers: nonzero numerators over a positive denominator
+    coprime to their content; residues over denominator 1 mod p."""
+    p = f.chart.characteristic
+    ints, den = f._ints, f._den
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c != 0 for c in ints.values())
+    assert math.gcd(den, *ints.values()) == 1
+    if p:
+        assert den == 1 and all(0 < c < p for c in ints.values())
+    elif not ints:
+        assert den == 1
+
+
 def assert_canonical(f: MultiPoly) -> None:
     p = f.chart.characteristic
+    assert_int_form(f)
     again = MultiPoly(f.chart, f.terms)
-    assert again == f and again.terms == f.terms
+    assert again == f and again.terms == f.terms and hash(again) == hash(f)
     for e, c in f.terms.items():
         assert type(e) is tuple and len(e) == f.chart.dim
         assert all(type(k) is int and k >= 0 for k in e)
@@ -333,5 +357,224 @@ def test_squarefree_parts_are_canonical(p):
             assert common.is_ground
             for h, _ in parts[i + 1 :]:
                 assert sympy.gcd(to_sympy(g), to_sympy(h)).is_ground
+
+    check()
+
+
+# -- the integer core against Fraction loops ----------------------------------
+#
+# Each reference works on the `.terms` of its operands (Fraction values) with
+# the plain loops the polynomial arithmetic used before it stored integers.
+
+BIG = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**9))
+QXY = Chart(("x", "y"))
+
+
+def big_polys(**sizes):
+    return polys(0, max_terms=sizes.pop("max_terms", 4), max_exp=2, coeff=BIG, **sizes)
+
+
+def grlex(e):
+    return (sum(e), e)
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        elif e in out:
+            del out[e]
+    return out
+
+
+def ref_scale(a: dict, c) -> dict:
+    return {e: x * c for e, x in a.items()} if c else {}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+    return out
+
+
+def ref_pow(a: dict, k: int, dim: int) -> dict:
+    out = {(0,) * dim: Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_diff(a: dict, v: int) -> dict:
+    out = {}
+    for e, c in a.items():
+        if e[v]:
+            out[e[:v] + (e[v] - 1,) + e[v + 1 :]] = c * e[v]
+    return out
+
+
+def ref_monic(a: dict) -> dict:
+    return ref_scale(a, 1 / a[max(a, key=grlex)]) if a else {}
+
+
+def ref_coeff_of_power(a: dict, v: int, k: int) -> dict:
+    return {e[:v] + (0,) + e[v + 1 :]: c for e, c in a.items() if e[v] == k}
+
+
+def ref_div(a: dict, b: dict) -> dict:
+    """Exact quotient by leading terms; raises AssertionError on a remainder."""
+    eb = max(b, key=grlex)
+    q: dict = {}
+    r = dict(a)
+    while r:
+        er = max(r, key=grlex)
+        shift = tuple(x - y for x, y in zip(er, eb))
+        assert min(shift) >= 0, "not exact"
+        c = r[er] / b[eb]
+        q[shift] = c
+        r = ref_add(r, ref_scale(ref_mul({shift: c}, b), -1))
+    return q
+
+
+def assert_terms(f: MultiPoly, expected: dict) -> None:
+    assert_canonical(f)
+    assert dict(f.terms) == expected
+
+
+def test_int_core_ring_operations_match_fraction_loops():
+    @SETTINGS
+    @given(big_polys(), big_polys(), BIG, st.integers(0, 3))
+    def check(a, b, c, k):
+        ta, tb = dict(a.terms), dict(b.terms)
+        assert_terms(a + b, ref_add(ta, tb))
+        assert_terms(a - b, ref_add(ta, ref_scale(tb, -1)))
+        assert_terms(-a, ref_scale(ta, -1))
+        assert_terms(a * b, ref_mul(ta, tb))
+        assert_terms(a * c, ref_scale(ta, c))
+        assert_terms(c * a, ref_scale(ta, c))
+        assert_terms(a * int(c), ref_scale(ta, int(c)))
+        assert_terms(a**k, ref_pow(ta, k, 2))
+        assert_terms(a.monic(), ref_monic(ta))
+        for v in range(2):
+            assert_terms(a.diff(v), ref_diff(ta, v))
+            for j in range(3):
+                assert_terms(a.coeff_of_power(v, j), ref_coeff_of_power(ta, v, j))
+
+    check()
+
+
+def test_int_core_equality_and_hash_follow_terms():
+    @SETTINGS
+    @given(big_polys(max_terms=2), big_polys(max_terms=2), st.integers(1, 10**6))
+    def check(a, b, k):
+        # a * k / k is a with its numerators scaled and reduced again
+        for x, y in ((a, b), (a, a * k * Fraction(1, k)), (a * k, a + a * (k - 1))):
+            assert (x == y) == (dict(x.terms) == dict(y.terms))
+            if x == y:
+                assert hash(x) == hash(y)
+
+    check()
+
+
+def test_int_core_division_and_cofactors_match_fraction_loops():
+    @SETTINGS
+    @given(
+        big_polys().filter(lambda f: not f.is_zero()),
+        big_polys().filter(lambda f: not f.is_zero()),
+        big_polys(max_terms=3).filter(lambda f: not f.is_zero()),
+    )
+    def check(a, b, c):
+        ta, tc = dict(a.terms), dict(c.terms)
+        assert_terms(exact_div(a * c, c), ref_div(ref_mul(ta, tc), tc))
+        assert_terms(exact_div(a * c, a * c), {(0, 0): Fraction(1)})
+        x, y = a * c, b * c
+        g, cx, cy = _cofactors(x, y)
+        tg = dict(g.terms)
+        assert tg == ref_monic(tg)
+        assert_terms(cx, ref_div(dict(x.terms), tg))
+        assert_terms(cy, ref_div(dict(y.terms), tg))
+
+    check()
+
+
+def test_int_core_substitute_matches_fraction_loops():
+    @SETTINGS
+    @given(big_polys(max_terms=3), big_polys(max_terms=2), big_polys(max_terms=2))
+    def check(f, u, v):
+        result = f.substitute([RatFn.from_poly(u), RatFn.from_poly(v)])
+        expected: dict = {}
+        values = (dict(u.terms), dict(v.terms))
+        for e, c in f.terms.items():
+            term = {(0, 0): c}
+            for value, k in zip(values, e):
+                term = ref_mul(term, ref_pow(value, k, 2))
+            expected = ref_add(expected, term)
+        assert result.den == MultiPoly.const(QXY, 1)
+        assert_terms(result.num, expected)
+
+    check()
+
+
+# -- RatFn scalar shortcuts against the general path ---------------------------
+
+SCALAR_PRIMES = (0, 2, 5)
+
+
+def ratfns(p: int):
+    nums = polys(p, max_terms=3, max_exp=2)
+    dens = polys(p, max_terms=3, max_exp=2).filter(lambda f: not f.is_zero())
+    return st.builds(RatFn, nums, dens)
+
+
+def scalars(p: int):
+    special = [0, 1, -1, p, 2 * p, Fraction(p, 3), Fraction(-7, 2)] if p else [0, 1, -1]
+    return st.one_of(
+        st.sampled_from(special),
+        st.integers(-(10**6), 10**6),
+        st.fractions(max_denominator=10**4),
+    )
+
+
+def assert_ratfn_canonical(f: RatFn) -> None:
+    assert_canonical(f.num)
+    assert_canonical(f.den)
+    assert f.den == f.den.monic()
+    assert poly_gcd(f.num, f.den).is_constant()
+
+
+@pytest.mark.parametrize("p", SCALAR_PRIMES)
+def test_ratfn_scalar_operators_agree_with_the_general_path(p):
+    @SETTINGS
+    @given(ratfns(p), scalars(p))
+    def check(f, c):
+        try:
+            k = f.chart.const(c)
+        except ZeroDenominator:
+            # no residue mod p: every shortcut raises as the general path does
+            for op in (lambda: f * c, lambda: c * f, lambda: f + c, lambda: c - f):
+                with pytest.raises(ZeroDenominator):
+                    op()
+            return
+        pairs = [
+            (f * c, f * k),
+            (c * f, k * f),
+            (f + c, f + k),
+            (c + f, k + f),
+            (f - c, f - k),
+            (c - f, k - f),
+        ]
+        for fast, general in pairs:
+            assert_ratfn_canonical(fast)
+            assert fast == general and str(fast) == str(general)
+        if k.is_zero():
+            assert (f * c).is_zero() and f + c == f
 
     check()
