@@ -40,9 +40,18 @@ class DiffForm:
             c = as_ratfn(chart, c)
             if not c.is_zero():
                 clean[idx] = c
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
+        _set_chart(self, chart)
+        _set_degree(self, degree)
+        _set_terms(self, clean)
+
+    @classmethod
+    def _raw(cls, chart: Chart, degree: int, terms: dict) -> "DiffForm":
+        """Trusted constructor: indices well formed, coefficients nonzero on the chart."""
+        out = object.__new__(cls)
+        _set_chart(out, chart)
+        _set_degree(out, degree)
+        _set_terms(out, terms)
+        return out
 
     def __setattr__(self, *a) -> None:  # pragma: no cover - guard only
         raise AttributeError("DiffForm is immutable")
@@ -120,10 +129,10 @@ class DiffForm:
                 out.pop(idx, None)
             else:
                 out[idx] = s
-        return DiffForm(self.chart, self.degree, out)
+        return DiffForm._raw(self.chart, self.degree, out)
 
     def __neg__(self) -> "DiffForm":
-        return DiffForm(self.chart, self.degree, {i: -c for i, c in self.terms.items()})
+        return DiffForm._raw(self.chart, self.degree, {i: -c for i, c in self.terms.items()})
 
     def __sub__(self, other) -> "DiffForm":
         if not isinstance(other, DiffForm):
@@ -132,6 +141,9 @@ class DiffForm:
 
     def __mul__(self, other) -> "DiffForm":
         """Multiplication by a function or constant."""
+        if isinstance(other, RatFn) and other.is_constant():
+            # a constant function scales like its value (as_ratfn checks the chart)
+            other = as_ratfn(self.chart, other).constant_value()
         if type(other) is not RatFn and isinstance(other, (int, Fraction)):
             # a scalar scales each coefficient directly
             f = _coerce(self.chart, other)
@@ -141,7 +153,8 @@ class DiffForm:
             f = as_ratfn(self.chart, other)
             if f.is_zero():
                 return DiffForm.zero(self.chart, self.degree)
-        return DiffForm(self.chart, self.degree, {i: c * f for i, c in self.terms.items()})
+        # a product of nonzero coefficients is nonzero
+        return DiffForm._raw(self.chart, self.degree, {i: c * f for i, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -154,6 +167,9 @@ class DiffForm:
 
     def __repr__(self) -> str:
         return f"DiffForm({form_str(self)})"
+
+
+_set_chart, _set_degree, _set_terms = (DiffForm.__dict__[n].__set__ for n in DiffForm.__slots__)
 
 
 def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]):
@@ -200,7 +216,7 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
                 out.pop(idx, None)
             else:
                 out[idx] = s
-    return DiffForm(chart, deg, out)
+    return DiffForm._raw(chart, deg, out)
 
 
 def wedge_all(forms: Sequence[DiffForm]) -> DiffForm:
@@ -238,7 +254,7 @@ def ext_d(a) -> DiffForm:
                 out.pop(nidx, None)
             else:
                 out[nidx] = s
-    return DiffForm(chart, a.degree + 1, out)
+    return DiffForm._raw(chart, a.degree + 1, out)
 
 
 def d_of(f: RatFn) -> DiffForm:
@@ -347,7 +363,7 @@ def interior(x: VectorField, a: DiffForm) -> DiffForm:
                 out.pop(nidx, None)
             else:
                 out[nidx] = s
-    return DiffForm(a.chart, a.degree - 1, out)
+    return DiffForm._raw(a.chart, a.degree - 1, out)
 
 
 def form_apply(a: DiffForm, x: VectorField) -> RatFn:

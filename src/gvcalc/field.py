@@ -1,20 +1,21 @@
 """Exact sparse multivariate polynomial and rational function arithmetic.
 
-A polynomial is a dictionary mapping exponent tuples to nonzero integers,
+A polynomial is a dictionary mapping monomial keys to nonzero integers,
 over one positive integer denominator.  Over a prime field F_p the integers
 are canonical residues in [0, p) and the denominator is 1.  Over Q the pair
 is canonical too: the denominator is coprime to the content (the gcd of the
 numerators), so equal polynomials have equal integers and equality and
 hashing compare ints.  A sum or product of polynomials with denominator 1
 never calls gcd; one with a denominator takes one gcd over integers.  The
-zero polynomial is the empty dictionary over 1.  `MultiPoly.terms` is the
-boundary view of the same data: over Q it maps each exponent to a
-`fractions.Fraction`, built when read, and over F_p it is the residue
-dictionary itself.
+zero polynomial is the empty dictionary over 1.
 
-Monomials are ordered graded-lexicographically with respect to the chart's
-variable order; every canonical choice below (leading terms, gcd
-normalization, printing) refers to that order.
+A monomial key is one int that packs the total degree and the exponents in
+the chart's variable order (`intpoly` has the layout), so int order is
+graded-lex order and every canonical choice below (leading terms, gcd
+normalization, printing) is a `max` or a sort of keys.  Exponent tuples exist
+only at the boundary: the constructor packs them, `leading()` and printing
+unpack, and `MultiPoly.terms` is a read-only view that unpacks each key, with
+`fractions.Fraction` values over Q and residues over F_p.
 
 Rational functions are stored normalized: numerator and denominator coprime,
 denominator monic.  Two equal rational functions therefore have identical
@@ -44,11 +45,11 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import ChartMismatch, GvError, ZeroDenominator
-from .intpoly import _add_terms, _div_terms, _gcd_terms, _grlex, _min_exp, _mul_terms, _times
+from .intpoly import HALF, MASK, W, _add_terms, _div_terms, _gcd_terms, _min_exp, _mul_terms
+from .intpoly import _pack, _times, _unpack, _var
 
 Scalar = Union[Fraction, int]
 
@@ -92,6 +93,13 @@ class Chart:
             if p >= 2**31:
                 raise GvError("characteristic too large")
 
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Chart:
+            return NotImplemented
+        return (self.variables, self.characteristic) == (other.variables, other.characteristic)
+
     @property
     def dim(self) -> int:
         return len(self.variables)
@@ -110,13 +118,14 @@ class Chart:
         return RatFn.from_poly(MultiPoly.var(self, name))
 
     def const(self, value: Scalar) -> "RatFn":
-        return RatFn.from_poly(MultiPoly.const(self, value))
+        c = _coerce(self, value)
+        return RatFn.from_poly(MultiPoly._raw(self, {0: c.numerator} if c else {}, c.denominator))
 
     def zero(self) -> "RatFn":
-        return RatFn.from_poly(MultiPoly.zero(self))
+        return RatFn.from_poly(MultiPoly._raw(self, {}))
 
     def one(self) -> "RatFn":
-        return self.const(1)
+        return RatFn.from_poly(_one(self))
 
 
 def _coerce(chart: Chart, c) -> Scalar:
@@ -145,26 +154,39 @@ def _require_polys(what: str, *values) -> None:
             raise GvError(f"{what} needs MultiPoly arguments, not {v!r}")
 
 
-class _FractionTerms(Mapping):
-    """Read-only view of a polynomial over Q: exponent -> Fraction, built on access."""
+def _key(n: int, exp) -> int:
+    """The key of an exponent tuple on n variables; GvError if it is not one."""
+    exp = tuple(exp)
+    if len(exp) != n or not all(isinstance(e, int) and e >= 0 for e in exp):
+        raise GvError(f"bad exponent {exp} for chart of dimension {n}")
+    if sum(exp) >= HALF:
+        raise GvError(f"total degree of {exp} reaches 2^{W - 1}: exponents overflow")
+    return _pack(exp)
 
-    __slots__ = ("_ints", "_den")
 
-    def __init__(self, ints: dict, den: int) -> None:
-        self._ints = ints
-        self._den = den
+class _Terms(Mapping):
+    """Read-only view of a polynomial: exponent tuple -> coefficient, unpacked on
+    access; the coefficient is a Fraction over Q and a residue over F_p."""
 
-    def __getitem__(self, exp) -> Fraction:
-        return Fraction(self._ints[exp], self._den)
+    __slots__ = ("_f",)
 
-    def __contains__(self, exp) -> bool:
-        return exp in self._ints
+    def __init__(self, f: "MultiPoly") -> None:
+        self._f = f
+
+    def __getitem__(self, exp) -> Scalar:
+        f = self._f
+        try:
+            c = f._ints[_key(f.chart.dim, exp)]
+        except (GvError, KeyError, TypeError):
+            raise KeyError(exp) from None
+        return c if f.chart.characteristic else Fraction(c, f._den)
 
     def __iter__(self):
-        return iter(self._ints)
+        n = self._f.chart.dim
+        return (_unpack(k, n) for k in self._f._ints)
 
     def __len__(self) -> int:
-        return len(self._ints)
+        return len(self._f._ints)
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -184,15 +206,13 @@ class MultiPoly:
             raise GvError(f"a polynomial needs a Chart, not {chart!r}")
         if not isinstance(terms, Mapping):
             raise GvError(f"polynomial terms must be a mapping, not {terms!r}")
-        clean: dict[tuple[int, ...], Scalar] = {}
+        clean: dict[int, Scalar] = {}
         n = chart.dim
         for exp, c in terms.items():
-            exp = tuple(exp)
-            if len(exp) != n or any(e < 0 for e in exp):
-                raise GvError(f"bad exponent {exp} for chart of dimension {n}")
+            key = _key(n, exp)
             c = _coerce(chart, c)
             if c:
-                clean[exp] = c
+                clean[key] = c
         den = 1
         if not chart.characteristic and clean:
             # the lcm of reduced denominators is coprime to the scaled numerators
@@ -204,7 +224,7 @@ class MultiPoly:
 
     @classmethod
     def _raw(cls, chart: Chart, ints: dict, den: int = 1) -> "MultiPoly":
-        """Trusted constructor: exponents well formed, (ints, den) canonical."""
+        """Trusted constructor: keys well formed, (ints, den) canonical."""
         out = _new(cls)
         _set_chart(out, chart)
         _set_ints(out, ints)
@@ -216,10 +236,8 @@ class MultiPoly:
 
     @property
     def terms(self) -> Mapping:
-        """Exponent -> coefficient: a `Fraction` over Q, a residue over F_p."""
-        if self.chart.characteristic:
-            return self._ints
-        return _FractionTerms(self._ints, self._den)
+        """Exponent tuple -> coefficient: a `Fraction` over Q, a residue over F_p."""
+        return _Terms(self)
 
     # -- constructors -------------------------------------------------
 
@@ -247,7 +265,7 @@ class MultiPoly:
         return not self._ints
 
     def is_constant(self) -> bool:
-        return not any(map(any, self._ints))
+        return not any(self._ints)
 
     def constant_value(self) -> Scalar:
         q = self.chart.characteristic == 0
@@ -262,27 +280,25 @@ class MultiPoly:
         """Total degree; -1 for the zero polynomial."""
         if not self._ints:
             return -1
-        return max(map(sum, self._ints))
+        return max(self._ints) >> W * self.chart.dim
 
     def degree_in(self, v: int) -> int:
         if not self._ints:
             return -1
-        return max(e[v] for e in self._ints)
+        s = _var(self.chart.dim, v)[0]
+        return max(e >> s & MASK for e in self._ints)
 
     def leading(self) -> tuple[tuple[int, ...], Scalar]:
         """Leading (exponent, coefficient) in graded-lex order."""
         if not self._ints:
             raise GvError("zero polynomial has no leading term")
-        exp = max(self._ints, key=_grlex)
+        exp = _unpack(max(self._ints), self.chart.dim)
         return exp, self.terms[exp]
 
     def coeff_of_power(self, v: int, k: int) -> "MultiPoly":
         """The coefficient of x_v^k, as a polynomial with x_v-exponent zero."""
-        part = {
-            e[:v] + (0,) + e[v + 1 :] if k else e: c
-            for e, c in self._ints.items()
-            if e[v] == k
-        }
+        s, u = _var(self.chart.dim, v)
+        part = {e - k * u: c for e, c in self._ints.items() if e >> s & MASK == k}
         return _reduced(self.chart, part, self._den)
 
     def __eq__(self, other) -> bool:
@@ -390,7 +406,7 @@ class MultiPoly:
         if not ints:
             return self
         # the leading coefficient is lc/den
-        lc = ints[max(ints, key=_grlex)]
+        lc = ints[max(ints)]
         return self if lc == self._den else _scaled(self, self._den, lc)
 
     # -- calculus ------------------------------------------------------
@@ -400,17 +416,19 @@ class MultiPoly:
         if isinstance(v, str):
             v = self.chart.index(v)
         p = self.chart.characteristic
-        out: dict[tuple[int, ...], int] = {}
+        s, u = _var(self.chart.dim, v)
+        out: dict[int, int] = {}
         for e, c in self._ints.items():
-            k = e[v]
+            k = e >> s & MASK
             if k == 0:
                 continue
-            s = c * k
+            c *= k
             if p:
-                s %= p
-                if not s:
+                c %= p
+                if not c:
                     continue
-            out[e[:v] + (k - 1,) + e[v + 1 :]] = s
+            # one degree less in x_v and in total
+            out[e - u] = c
         return _reduced(self.chart, out, self._den)
 
     def substitute(self, values: Sequence["RatFn"]) -> "RatFn":
@@ -434,7 +452,7 @@ class MultiPoly:
         total = target.zero()
         for e, c in self._ints.items():
             term = None
-            for i, k in enumerate(e):
+            for i, k in enumerate(_unpack(e, self.chart.dim)):
                 if k:
                     term = var_power(i, k) if term is None else term * var_power(i, k)
             total = total + (c if term is None else term * c)
@@ -457,14 +475,11 @@ _set_chart, _set_ints, _set_den = (MultiPoly.__dict__[n].__set__ for n in MultiP
 
 
 def _one(chart: Chart) -> MultiPoly:
-    return MultiPoly._raw(chart, {(0,) * chart.dim: 1})
+    return MultiPoly._raw(chart, {0: 1})
 
 
 def _is_one(f: MultiPoly) -> bool:
-    if f._den != 1 or len(f._ints) != 1:
-        return False
-    ((e, c),) = f._ints.items()
-    return c == 1 and not any(e)
+    return f._den == 1 and len(f._ints) == 1 and f._ints.get(0) == 1
 
 
 def _reduced(chart: Chart, ints: dict, den: int) -> MultiPoly:
@@ -493,7 +508,9 @@ def _scaled(f: MultiPoly, n: int, m: int) -> MultiPoly:
 
 def _drop_variable(f: MultiPoly, v: int, target: Chart) -> MultiPoly:
     """Transfer a polynomial with x_v-degree zero onto the chart without x_v."""
-    return MultiPoly._raw(target, {e[:v] + e[v + 1 :]: c for e, c in f._ints.items()}, f._den)
+    low = (1 << _var(f.chart.dim, v)[0]) - 1
+    # the fields above x_v move down one field
+    return MultiPoly._raw(target, {e >> W & ~low | e & low: c for e, c in f._ints.items()}, f._den)
 
 
 def _cleared_terms(polys: Sequence[MultiPoly]) -> list[dict]:
@@ -521,20 +538,13 @@ def _term_str(chart: Chart, exp: tuple[int, ...], coeff: Scalar) -> str:
 def poly_str(f: MultiPoly) -> str:
     """Canonical printing: terms in descending graded-lex order."""
     _require_polys("poly_str", f)
-    ints, den = f._ints, f._den
-    if not ints:
-        return "0"
-    pieces = []
-    for exp in sorted(ints, key=_grlex, reverse=True):
-        c = ints[exp]
-        s = _term_str(f.chart, exp, Fraction(c, den) if den != 1 else c)
-        if not pieces:
-            pieces.append(s)
-        elif s.startswith("-"):
-            pieces.append("- " + s[1:])
-        else:
-            pieces.append("+ " + s)
-    return " ".join(pieces)
+    ints, den, n = f._ints, f._den, f.chart.dim
+    s = " + ".join(
+        _term_str(f.chart, _unpack(k, n), Fraction(ints[k], den) if den != 1 else ints[k])
+        for k in sorted(ints, reverse=True)
+    )
+    # a term string has no space, so " + -" only joins a negative term
+    return s.replace(" + -", " - ") if s else "0"
 
 
 def _cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
@@ -551,15 +561,14 @@ def _cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiP
         # every divisor of a monomial is a monomial
         m = _min_exp([*ta, *tb])
         g = MultiPoly._raw(chart, {m: 1})
-        if not any(m):
+        if not m:
             return g, a, b
         return g, *(
-            MultiPoly._raw(chart, {tuple(map(sub, e, m)): c for e, c in f._ints.items()}, f._den)
-            for f in (a, b)
+            MultiPoly._raw(chart, {e - m: c for e, c in f._ints.items()}, f._den) for f in (a, b)
         )
     p = chart.characteristic
     h = _gcd_terms(ta, tb, p)
-    lc = h[max(h, key=_grlex)]  # 1 over F_p, positive over Z
+    lc = h[max(h)]  # 1 over F_p, positive over Z
     g = MultiPoly._raw(chart, h, lc)
     if g.is_constant():
         return g, a, b
@@ -620,10 +629,8 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
         return []
     p = chart.characteristic
     if p and all(f.diff(v).is_zero() for v in range(chart.dim)):
-        # every exponent of every term is divisible by p
-        root = MultiPoly._raw(
-            chart, {tuple(e // p for e in exp): c for exp, c in f._ints.items()}
-        )
+        # every exponent, so every field of every key, is divisible by p
+        root = MultiPoly._raw(chart, {e // p: c for e, c in f._ints.items()})
         return [(g, m * p) for g, m in squarefree_decomposition(root)]
     f = f.monic()
     sieve = f
@@ -673,7 +680,7 @@ class RatFn:
         if not num._ints:
             den = _one(num.chart)
         else:
-            lc = dd[max(dd, key=_grlex)]
+            lc = dd[max(dd)]
             if lc != den._den:
                 # scale both parts by den._den/lc, which makes den monic
                 num, den = _scaled(num, den._den, lc), _scaled(den, den._den, lc)

@@ -1,22 +1,59 @@
-"""The integer core of polynomial arithmetic: plain term dictionaries.
+"""The integer core of polynomial arithmetic: term dictionaries on packed keys.
 
-A term dictionary maps exponent tuples to nonzero ints: integers over Z when
+A term dictionary maps monomial keys to nonzero ints: integers over Z when
 p = 0, residues in [0, p) over F_p.  `field.MultiPoly` keeps its
 denominator outside the dictionary; a denominator is a scalar, so products,
 sums, exact division and the gcd below run unchanged for both fields.
-Monomials are ordered graded-lexicographically (`_grlex`).
+
+A key packs the exponents of x_0, ..., x_{n-1} into one int of n + 1 fields
+of W bits each: the total degree in the top field, then x_0, ..., x_{n-1}
+down to the lowest field (the packed exponent vectors of Monagan and Pearce,
+CASC 2007).  Int order compares the degree first and then the exponents
+lexicographically, so it is graded-lex order, and the key of a product of
+monomials is the sum of their keys.  The top bit of every field is a guard
+bit that stays 0: no degree, hence no exponent, reaches 2^(W-1), so a sum of
+two keys never carries from one field into the next.  `field.MultiPoly`
+checks that bound on input and `_mul_terms` once per product, and both raise
+`GvError` when it is reached.  With every guard bit of a key set, subtracting
+another key clears exactly the guards of the fields that would go negative,
+which tests divisibility of monomials in one step.
 """
 
 from __future__ import annotations
 
 import math
-from operator import add, sub
+from functools import reduce
+from operator import or_
 
 from .errors import GvError
 
+W = 16  # bits per field
+HALF = 1 << W - 1  # the guard bit of the lowest field; every field stays below it
+MASK = (1 << W) - 1
 
-def _grlex(exp: tuple[int, ...]) -> tuple:
-    return (sum(exp), exp)
+
+def _pack(exp) -> int:
+    """The key of an exponent tuple whose total degree is below HALF."""
+    key = sum(exp)
+    for e in exp:
+        key = key << W | e
+    return key
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    """The exponent tuple of a key on n variables."""
+    return tuple(key >> W * i & MASK for i in range(n - 1, -1, -1))
+
+
+def _var(n: int, v: int) -> tuple[int, int]:
+    """(bit offset of the x_v field, key of x_v) on n variables."""
+    s = W * (n - 1 - v)
+    return s, 1 << W * n | 1 << s
+
+
+def _guards(key: int) -> int:
+    """The guard bits of every field up to the top field of key."""
+    return HALF * ((1 << W * ((key.bit_length() + W - 1) // W)) - 1) // MASK
 
 
 def _times(a: dict, k: int) -> dict:
@@ -39,12 +76,18 @@ def _add_terms(a: dict, b: dict, p: int) -> dict:
 
 
 def _mul_terms(a: dict, b: dict, p: int, out: dict | None = None) -> dict:
-    """Add the product of term dicts a and b into out (a new dict by default)."""
+    """Add the product of nonzero term dicts a and b into out (a new dict by default)."""
+    # the largest key of the product is the sum of the largest keys; its top
+    # field is the degree, which reached HALF when that bit is its guard bit
+    top = max(a) + max(b)
+    if top and top.bit_length() % W == 0:
+        raise GvError(f"total degree reaches 2^{W - 1}: exponents overflow")
     out = {} if out is None else out
+    get = out.get
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            s = out.get(e, 0) + c1 * c2
+            e = e1 + e2
+            s = get(e, 0) + c1 * c2
             if p:
                 s %= p
             if s:
@@ -54,36 +97,37 @@ def _mul_terms(a: dict, b: dict, p: int, out: dict | None = None) -> dict:
     return out
 
 
-def _coeffs(terms: dict, v: int) -> dict[int, dict]:
-    """Split by the exponent of x_v: k -> coefficient of x_v^k, its x_v-exponent zero."""
+def _coeffs(terms: dict, s: int, u: int) -> dict[int, dict]:
+    """Split by the exponent of the variable with key u and field offset s:
+    k -> coefficient of its k-th power, with that exponent zero."""
     out: dict[int, dict] = {}
     for e, c in terms.items():
-        k = e[v]
-        out.setdefault(k, {})[e[:v] + (0,) + e[v + 1 :] if k else e] = c
+        k = e >> s & MASK
+        out.setdefault(k, {})[e - k * u] = c
     return out
 
 
 def _div_terms(a: dict, b: dict, p: int) -> dict:
     """Exact quotient of nonzero term dicts over Z or F_p; raises unless b divides a."""
-    eb = max(b, key=_grlex)
-    lc = b[eb]
+    lead = max(b)
+    lc = b[lead]
     inv = pow(lc, p - 2, p) if p else None
-    tail = [(sum(e), e, c) for e, c in b.items() if e != eb]
-    db = sum(eb)
+    tail = [(e, c) for e, c in b.items() if e != lead]
+    g = _guards(lead)
     q = {}
-    # remainder keyed by grlex key; each step cancels its leading term in place
-    r = {(sum(e), e): c for e, c in a.items()}
+    # the remainder; each step cancels its leading term in place
+    r = dict(a)
     while r:
         key = max(r)
         cr = r.pop(key)
-        diff = tuple(map(sub, key[1], eb))
         c = cr * inv % p if p else cr // lc
-        if min(diff) < 0 or (not p and c * lc != cr):
+        # a field of key below the one of lead borrows and clears its guard bit
+        if ((key | g) - lead) & g != g or (not p and c * lc != cr):
             raise GvError("polynomial division is not exact")
-        q[diff] = c
-        dd = key[0] - db
-        for d, e, ct in tail:
-            k = (dd + d, tuple(map(add, diff, e)))
+        shift = key - lead
+        q[shift] = c
+        for e, ct in tail:
+            k = shift + e
             s = r.get(k, 0) - c * ct
             if p:
                 s %= p
@@ -94,14 +138,26 @@ def _div_terms(a: dict, b: dict, p: int) -> dict:
     return q
 
 
-def _min_exp(exps) -> tuple[int, ...]:
-    """Componentwise minimum of exponent tuples: the monomial content."""
-    return tuple(map(min, zip(*exps)))
+def _min_exp(keys) -> int:
+    """The key of the fieldwise minimum of the exponents: the monomial content."""
+    top = max(keys)
+    if not top:
+        return 0
+    g = _guards(top)
+    m = top
+    for k in keys:
+        # all ones in the fields where m is at least k
+        ge = ((((m | g) - k) & g) >> W - 1) * MASK
+        m = m & ~ge | k & ge
+    # the degree field became a minimum too; put the sum of the exponents back
+    d = (top.bit_length() - 1) // W * W
+    low = m & (1 << d) - 1
+    return low % MASK << d | low
 
 
 def _normal(terms: dict, p: int) -> dict:
     """Over Z: no integer content and a positive leading coefficient; over F_p: monic."""
-    lc = terms[max(terms, key=_grlex)]
+    lc = terms[max(terms)]
     if p:
         inv = pow(lc, p - 2, p)
         return {e: c * inv % p for e, c in terms.items()} if inv != 1 else terms
@@ -110,14 +166,13 @@ def _normal(terms: dict, p: int) -> dict:
     return {e: c // g for e, c in terms.items()} if g != 1 else terms
 
 
-def _primitive(f: dict, v: int, p: int) -> tuple[dict, dict]:
-    """(primitive part, content) of f as a polynomial in x_v."""
-    parts = sorted(_coeffs(f, v).values(), key=len)
+def _primitive(f: dict, s: int, u: int, p: int) -> tuple[dict, dict]:
+    """(primitive part, content) of f as a polynomial in the variable (s, u)."""
+    parts = sorted(_coeffs(f, s, u).values(), key=len)
     content = parts[0]
-    one = {(0,) * len(next(iter(f))): 1}
     for c in parts[1:]:
         content = _gcd_terms(content, c, p)
-        if content == one:
+        if content == {0: 1}:
             break
     return _normal(_div_terms(f, content, p), p), content
 
@@ -135,30 +190,35 @@ def _gcd_terms(a: dict, b: dict, p: int) -> dict:
     if a == b:
         return _normal(a, p)
     sa, sb = _min_exp(a), _min_exp(b)
-    shared = {tuple(map(min, sa, sb)): 1}
-    if any(sa):
-        a = {tuple(map(sub, e, sa)): c for e, c in a.items()}
-    if any(sb):
-        b = {tuple(map(sub, e, sb)): c for e, c in b.items()}
-    v = max(i for i, d in enumerate(map(max, zip(*a, *b))) if d)
-    a, ca = _primitive(a, v, p)
-    b, cb = _primitive(b, v, p)
-    if max(e[v] for e in a) < max(e[v] for e in b):
+    shared = {_min_exp((sa, sb)): 1}
+    if sa:
+        a = {e - sa: c for e, c in a.items()}
+    if sb:
+        b = {e - sb: c for e, c in b.items()}
+    # the last variable that occurs has the lowest nonzero field below the degree
+    d = (max(max(a), max(b)).bit_length() - 1) // W * W
+    low = (reduce(or_, a) | reduce(or_, b)) & (1 << d) - 1
+    s = ((low & -low).bit_length() - 1) // W * W
+    u = 1 << d | 1 << s
+    a, ca = _primitive(a, s, u, p)
+    b, cb = _primitive(b, s, u, p)
+    if max(e >> s & MASK for e in a) < max(e >> s & MASK for e in b):
         a, b = b, a
     while b:
-        # pseudo-remainder of a by b in x_v, then its primitive part
-        parts = _coeffs(b, v)
+        # pseudo-remainder of a by b in the variable, then its primitive part
+        parts = _coeffs(b, s, u)
         db = max(parts)
         lb = parts[db]
         r = a
         while r:
-            parts = _coeffs(r, v)
+            parts = _coeffs(r, s, u)
             dr = max(parts)
             if dr < db:
                 break
-            lr = {e[:v] + (dr - db,) + e[v + 1 :]: -c for e, c in parts[dr].items()}
+            shift = (dr - db) * u
+            lr = {e + shift: -c for e, c in parts[dr].items()}
             r = _mul_terms(lr, b, p, _mul_terms(lb, r, p))
-        a, b = b, _primitive(r, v, p)[0] if r else r
+        a, b = b, _primitive(r, s, u, p)[0] if r else r
     g = _mul_terms(shared, _gcd_terms(ca, cb, p), p)
     # products of normalized factors are normalized (Gauss's lemma over Z)
-    return _mul_terms(g, a, p) if max(e[v] for e in a) else g
+    return _mul_terms(g, a, p) if any(e >> s & MASK for e in a) else g

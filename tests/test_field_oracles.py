@@ -9,7 +9,9 @@ numerators; denominator 1 over F_p).  Division, gcd, gcd with cofactors and
 squarefree decomposition are compared against sympy over QQ and GF(p).  The
 integer core is compared, operation by operation, with plain loops over
 `Fraction` coefficients on large numerators and denominators, and the
-scalar shortcuts of `RatFn` with its general path.
+scalar shortcuts of `RatFn` with its general path.  The kernels on packed
+monomial keys are compared with the same loops on exponent tuples, and every
+stored key is checked to be a well-formed packing of its exponents.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from gvcalc import (
     poly_gcd,
     squarefree_decomposition,
 )
-from gvcalc.field import _cofactors
+from gvcalc.field import _cofactors, _drop_variable
+from gvcalc.intpoly import HALF, MASK, W, _coeffs, _div_terms, _gcd_terms, _mul_terms
+from gvcalc.intpoly import _pack, _unpack, _var
 
 PRIMES = (0, 2, 3, 5, 7)
 VARIABLES = ("x", "y", "z")
@@ -59,9 +63,16 @@ def nonconstant(p: int, **sizes):
     return polys(p, **sizes).filter(lambda f: not f.is_constant())
 
 
+def guard_bits(n: int) -> int:
+    """The guard bit of each of the n + 1 fields of a key on n variables."""
+    return sum(HALF << W * i for i in range(n + 1))
+
+
 def assert_int_form(f: MultiPoly) -> None:
     """The stored integers: nonzero numerators over a positive denominator
-    coprime to their content; residues over denominator 1 mod p."""
+    coprime to their content; residues over denominator 1 mod p.  Each key
+    packs its own exponents, keeps every guard bit clear, and carries the sum
+    of its exponent fields in its top (degree) field."""
     p = f.chart.characteristic
     ints, den = f._ints, f._den
     assert type(den) is int and den > 0
@@ -71,6 +82,13 @@ def assert_int_form(f: MultiPoly) -> None:
         assert den == 1 and all(0 < c < p for c in ints.values())
     elif not ints:
         assert den == 1
+    n = f.chart.dim
+    guards = guard_bits(n)
+    for k in ints:
+        exp = _unpack(k, n)
+        assert type(k) is int and _pack(exp) == k
+        assert k & guards == 0
+        assert k >> W * n == sum(exp)
 
 
 def assert_canonical(f: MultiPoly) -> None:
@@ -378,10 +396,11 @@ def grlex(e):
     return (sum(e), e)
 
 
-def ref_add(a: dict, b: dict) -> dict:
+def ref_add(a: dict, b: dict, p: int = 0) -> dict:
     out = dict(a)
     for e, c in b.items():
         s = out.get(e, 0) + c
+        s = s % p if p else s
         if s:
             out[e] = s
         elif e in out:
@@ -393,12 +412,13 @@ def ref_scale(a: dict, c) -> dict:
     return {e: x * c for e, x in a.items()} if c else {}
 
 
-def ref_mul(a: dict, b: dict) -> dict:
+def ref_mul(a: dict, b: dict, p: int = 0) -> dict:
     out: dict = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(map(add, e1, e2))
             s = out.get(e, 0) + c1 * c2
+            s = s % p if p else s
             if s:
                 out[e] = s
             elif e in out:
@@ -578,3 +598,228 @@ def test_ratfn_scalar_operators_agree_with_the_general_path(p):
             assert (f * c).is_zero() and f + c == f
 
     check()
+
+
+# -- the packed core against tuple-keyed loops ---------------------------------
+#
+# The references are the kernels as they were on exponent tuples: tuple sums
+# for products (`ref_add` and `ref_mul` with a modulus), graded-lex order
+# through `grlex`, per-field tests for divisibility.  Over Q the kernels run
+# on integer coefficients (p = 0).
+
+DIMS = (1, 2, 3)
+
+
+def int_terms(p: int, dim: int, max_terms: int = 4, max_exp: int = 2):
+    coeff = st.integers(-30, 30).filter(bool) if p == 0 else st.integers(1, p - 1)
+    exps = st.tuples(*[st.integers(0, max_exp)] * dim)
+    return st.dictionaries(exps, coeff, min_size=1, max_size=max_terms)
+
+
+def packed(terms: dict) -> dict:
+    return {_pack(e): c for e, c in terms.items()}
+
+
+def unpacked(ints: dict, dim: int) -> dict:
+    for k in ints:
+        assert _pack(_unpack(k, dim)) == k and k & guard_bits(dim) == 0
+    return {_unpack(k, dim): c for k, c in ints.items()}
+
+
+def tref_div(a: dict, b: dict, p: int) -> dict:
+    """Exact quotient by leading terms; raises GvError on a remainder."""
+    eb = max(b, key=grlex)
+    q: dict = {}
+    r = dict(a)
+    while r:
+        er = max(r, key=grlex)
+        shift = tuple(x - y for x, y in zip(er, eb))
+        c = r[er] * pow(b[eb], p - 2, p) % p if p else r[er] // b[eb]
+        if min(shift) < 0 or (not p and c * b[eb] != r[er]):
+            raise GvError("not exact")
+        q[shift] = c
+        r = ref_add(r, ref_mul({shift: -c}, b, p), p)
+    return q
+
+
+def tref_coeffs(a: dict, v: int) -> dict:
+    out: dict = {}
+    for e, c in a.items():
+        out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1 :]] = c
+    return out
+
+
+def tref_normal(a: dict, p: int) -> dict:
+    lc = a[max(a, key=grlex)]
+    if p:
+        return {e: c * pow(lc, p - 2, p) % p for e, c in a.items()}
+    g = math.gcd(*a.values()) * (-1 if lc < 0 else 1)
+    return {e: c // g for e, c in a.items()}
+
+
+def tref_gcd(a: dict, b: dict, p: int) -> dict:
+    """The primitive PRS gcd on exponent tuples, normalized like `_gcd_terms`."""
+    if len(a) == 1 or len(b) == 1:
+        return {tuple(map(min, zip(*a, *b))): 1}
+    sa, sb = tuple(map(min, zip(*a))), tuple(map(min, zip(*b)))
+    shared = {tuple(map(min, sa, sb)): 1}
+    a = {tuple(x - y for x, y in zip(e, sa)): c for e, c in a.items()}
+    b = {tuple(x - y for x, y in zip(e, sb)): c for e, c in b.items()}
+    v = max(i for i, d in enumerate(map(max, zip(*a, *b))) if d)
+
+    def primitive(f):
+        parts = list(tref_coeffs(f, v).values())
+        content = parts[0]
+        for c in parts[1:]:
+            content = tref_gcd(content, c, p)
+        return tref_normal(tref_div(f, content, p), p), content
+
+    a, ca = primitive(a)
+    b, cb = primitive(b)
+    if max(e[v] for e in a) < max(e[v] for e in b):
+        a, b = b, a
+    while b:
+        # pseudo-remainder of a by b in x_v, then its primitive part
+        db = max(e[v] for e in b)
+        lb = tref_coeffs(b, v)[db]
+        r = a
+        while r and max(e[v] for e in r) >= db:
+            dr = max(e[v] for e in r)
+            lr = {e[:v] + (dr - db,) + e[v + 1 :]: -c for e, c in tref_coeffs(r, v)[dr].items()}
+            r = ref_add(ref_mul(lr, b, p), ref_mul(lb, r, p), p)
+        a, b = b, primitive(r)[0] if r else r
+    g = ref_mul(shared, tref_gcd(ca, cb, p), p)
+    return ref_mul(g, a, p) if max(e[v] for e in a) else g
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_products_and_divisions_match_tuple_loops(p, dim):
+    @SETTINGS
+    @given(int_terms(p, dim), int_terms(p, dim), st.booleans())
+    def check(a, b, product):
+        ab = ref_mul(a, b, p)
+        assert unpacked(_mul_terms(packed(a), packed(b), p), dim) == ab
+        if ab:
+            assert unpacked(_div_terms(packed(ab), packed(b), p), dim) == a
+        # a division that is not exact raises in both, or in neither
+        num = ab if product and ab else a
+        try:
+            expected = tref_div(num, b, p)
+        except GvError:
+            with pytest.raises(GvError, match="not exact"):
+                _div_terms(packed(num), packed(b), p)
+        else:
+            assert unpacked(_div_terms(packed(num), packed(b), p), dim) == expected
+
+    check()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_division_rejects_a_single_borrowing_field(p):
+    # every other field, the degree included, divides; one exponent field borrows
+    cases = [
+        ({(2,): 1}, {(3,): 1}),
+        ({(2, 0): 1}, {(0, 1): 1}),
+        ({(2, 1): 1, (0, 1): 1}, {(1, 2): 1, (0, 0): 1}),
+        ({(3, 0, 2): 1}, {(1, 1, 1): 1}),
+        ({(0, 4, 1): 1, (0, 0, 1): 1}, {(0, 1, 2): 1, (0, 0, 0): 1}),
+    ]
+    for a, b in cases:
+        with pytest.raises(GvError, match="not exact"):
+            tref_div(a, b, p)
+        with pytest.raises(GvError, match="not exact"):
+            _div_terms(packed(a), packed(b), p)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_coeffs_and_gcd_match_tuple_loops(p, dim):
+    @SETTINGS
+    @given(int_terms(p, dim), int_terms(p, dim), int_terms(p, dim, max_terms=3))
+    def check(a, b, c):
+        for v in range(dim):
+            s, u = _var(dim, v)
+            parts = _coeffs(packed(a), s, u)
+            assert {k: unpacked(t, dim) for k, t in parts.items()} == tref_coeffs(a, v)
+        x, y = ref_mul(a, c, p), ref_mul(b, c, p)
+        if x and y:
+            assert unpacked(_gcd_terms(packed(x), packed(y), p), dim) == tref_gcd(x, y, p)
+
+    check()
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_calculus_matches_tuple_loops(p, dim):
+    @SETTINGS
+    @given(polys(p, dim=dim, max_exp=4, max_terms=6))
+    def check(f):
+        t = dict(f.terms)
+        for v in range(dim):
+            expected = {
+                e[:v] + (e[v] - 1,) + e[v + 1 :]: c * e[v] % p if p else c * e[v]
+                for e, c in t.items()
+                if e[v]
+            }
+            d = f.diff(v)
+            assert_int_form(d)
+            assert dict(d.terms) == {e: c for e, c in expected.items() if c}
+            for k in range(5):
+                part = f.coeff_of_power(v, k)
+                assert_int_form(part)
+                assert dict(part.terms) == ref_coeff_of_power(t, v, k)
+                if dim > 1:
+                    target = Chart(tuple(x for i, x in enumerate(f.chart.variables) if i != v), p)
+                    dropped = _drop_variable(part, v, target)
+                    assert_int_form(dropped)
+                    assert dict(dropped.terms) == {
+                        e[:v] + e[v + 1 :]: c for e, c in part.terms.items()
+                    }
+        if t:
+            exp = max(t, key=grlex)
+            assert f.leading() == (exp, t[exp])
+            assert f.total_degree() == sum(exp)
+            assert [f.degree_in(v) for v in range(dim)] == list(map(max, zip(*t)))
+
+    check()
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("p", PRIMES[1:])
+def test_packed_pth_root_matches_tuple_loops(p, dim):
+    @SETTINGS
+    @given(polys(p, dim=dim, max_exp=2, max_terms=4, min_terms=1).filter(lambda g: not g.is_constant()))
+    def check(g):
+        # the root of a key whose every field is a multiple of p is key // p
+        for e in g.terms:
+            assert _pack(tuple(x * p for x in e)) // p == _pack(e)
+        f = g**p
+        assert all(f.diff(v).is_zero() for v in range(dim))
+        parts = squarefree_decomposition(f)
+        for h, _ in parts:
+            assert_canonical(h)
+        assert sorted(map(str, parts)) == sorted(
+            str((h, m * p)) for h, m in squarefree_decomposition(g)
+        )
+
+    check()
+
+
+def test_exponent_overflow_raises():
+    chart = Chart(("x", "y"))
+    x, y = (MultiPoly.var(chart, name) for name in chart.variables)
+    top = x ** (HALF - 1)
+    assert_canonical(top)
+    assert top.total_degree() == HALF - 1
+    with pytest.raises(GvError, match="overflow"):
+        x ** HALF
+    with pytest.raises(GvError, match="overflow"):
+        top * y
+    with pytest.raises(GvError, match="overflow"):
+        # the leading terms alone reach the bound
+        (x ** (HALF // 2) + y) * (y ** (HALF // 2) + x + 1)
+    for exp in ((HALF, 0), (0, HALF), (HALF - 1, 1), (MASK, 0)):
+        with pytest.raises(GvError, match="overflow"):
+            MultiPoly(chart, {exp: 1})
+    assert (HALF - 1, 0) in top.terms and (HALF, 0) not in top.terms
