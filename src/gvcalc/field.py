@@ -30,10 +30,12 @@ Products, sums, greatest common divisors and exact division run on the
 integer dictionaries themselves (`intpoly`, one core for Q and F_p); a
 denominator is a scalar and changes neither gcd nor divisibility.
 `_cofactors(a, b)` returns the monic gcd g with a/g and b/g, and every
-reduction of a fraction is one call to it.  A primitive PRS runs over Z on
-the numerators of both operands (over F_p, on their residues), and the same
-dictionaries are divided by the gcd.  The monic gcd is unique, so it does not
-depend on the route.
+reduction of a fraction is one call to it.  Over Q the heuristic gcd
+(GCDHEU) runs on the numerators of both operands first: its trial divisions
+confirm the gcd and are the cofactors.  When it gives up, and always over
+F_p (on the residues), a primitive PRS runs, and the same dictionaries are
+divided by the gcd.  The monic gcd is unique, so it does not depend on the
+route.
 
 All values are immutable after construction and every operation returns a new
 object, so instances can be shared freely between threads.
@@ -48,8 +50,8 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import ChartMismatch, GvError, ZeroDenominator
-from .intpoly import HALF, MASK, W, _add_terms, _div_terms, _gcd_terms, _min_exp, _mul_terms
-from .intpoly import _pack, _times, _unpack, _var
+from .intpoly import HALF, MASK, W, _add_terms, _div_terms, _gcd_terms, _heu_gcd, _min_exp
+from .intpoly import _mul_terms, _pack, _times, _unpack, _var
 
 Scalar = Union[Fraction, int]
 
@@ -553,7 +555,8 @@ def _cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiP
     A constant g comes back with a and b themselves.  The gcd and both
     divisions run on the numerators; over Q the primitive gcd h with leading
     coefficient lc gives g = h/lc, so a/g is (numerators of a)/h times lc
-    over the denominator of a.
+    over the denominator of a.  Over Q `_heu_gcd` is tried first and the PRS
+    of `_gcd_terms` is its fallback; over F_p the PRS is the only route.
     """
     chart = a.chart
     ta, tb = a._ints, b._ints
@@ -567,13 +570,17 @@ def _cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiP
             MultiPoly._raw(chart, {e - m: c for e, c in f._ints.items()}, f._den) for f in (a, b)
         )
     p = chart.characteristic
-    h = _gcd_terms(ta, tb, p)
+    found = None if p else _heu_gcd(ta, tb, chart.dim)
+    # the heuristic gives the quotients by c*h; times c they are those by h
+    c, h, qa, qb = found or (1, _gcd_terms(ta, tb, p), None, None)
     lc = h[max(h)]  # 1 over F_p, positive over Z
     g = MultiPoly._raw(chart, h, lc)
     if g.is_constant():
         return g, a, b
-    qa, qb = _div_terms(ta, h, p), _div_terms(tb, h, p)
-    return g, _reduced(chart, _times(qa, lc), a._den), _reduced(chart, _times(qb, lc), b._den)
+    if qa is None:
+        qa, qb = _div_terms(ta, h, p), _div_terms(tb, h, p)
+    k = c * lc
+    return g, _reduced(chart, _times(qa, k), a._den), _reduced(chart, _times(qb, k), b._den)
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:

@@ -17,6 +17,12 @@ checks that bound on input and `_mul_terms` once per product, and both raise
 `GvError` when it is reached.  With every guard bit of a key set, subtracting
 another key clears exactly the guards of the fields that would go negative,
 which tests divisibility of monomials in one step.
+
+The gcd has two routes.  Over Z, `_heu_gcd` (GCDHEU) tries first: it sets
+the variable of the lowest field to a large integer, recurses down to
+`math.gcd`, reads a candidate back from balanced digits and keeps it only
+when trial division by it is exact; those quotients are the cofactors.  When
+it gives up, and always over F_p, the primitive PRS of `_gcd_terms` runs.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .errors import GvError
 W = 16  # bits per field
 HALF = 1 << W - 1  # the guard bit of the lowest field; every field stays below it
 MASK = (1 << W) - 1
+HEU_GCD_MAX = 6  # evaluation points GCDHEU tries before it gives up
 
 
 def _pack(exp) -> int:
@@ -182,7 +189,9 @@ def _gcd_terms(a: dict, b: dict, p: int) -> dict:
 
     Primitive PRS (W. S. Brown, J. ACM 18, 1971) in the last variable that
     occurs, with the contents in that variable taken recursively.  Over Z the
-    integer contents of a and b are ignored: the result is primitive.
+    integer contents of a and b are ignored: the result is primitive.  Over Z
+    it is the fallback of `_heu_gcd` and the reference its results are
+    tested against; over F_p it is the only route.
     """
     if len(a) == 1 or len(b) == 1:
         # every divisor of a monomial is a monomial
@@ -222,3 +231,90 @@ def _gcd_terms(a: dict, b: dict, p: int) -> dict:
     g = _mul_terms(shared, _gcd_terms(ca, cb, p), p)
     # products of normalized factors are normalized (Gauss's lemma over Z)
     return _mul_terms(g, a, p) if any(e >> s & MASK for e in a) else g
+
+
+def _evaluate(f: dict, xi: int, n: int) -> dict:
+    """f on n variables with x_{n-1}, the lowest field, set to xi: a dict on n - 1."""
+    top = W * (n - 1)
+    out: dict = {}
+    get = out.get
+    for e, c in f.items():
+        v = e & MASK
+        # drop the lowest field and take its exponent off the degree field
+        k = (e >> W) - (v << top)
+        out[k] = get(k, 0) + c * xi**v
+    return {k: c for k, c in out.items() if c}
+
+
+def _interpolate(g: dict, xi: int, n: int) -> dict:
+    """The dict on n variables whose coefficients are the balanced xi-adic
+    digits of those of g on n - 1 variables, digit i going to x_{n-1}^i."""
+    u = 1 << W * n | 1
+    half = xi >> 1
+    out = {}
+    for k, c in g.items():
+        k <<= W
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[k] = d
+            c = (c - d) // xi
+            k += u
+    return out
+
+
+def _quo(a: dict, b: dict) -> dict | None:
+    """a / b over Z, or None unless b divides a."""
+    # a divisor's leading monomial is at most a's; this also rejects a key
+    # whose fields overflowed, since its degree field is then the largest
+    if max(b) > max(a):
+        return None
+    try:
+        return _div_terms(a, b, 0)
+    except GvError:
+        return None
+
+
+def _heu_gcd(a: dict, b: dict, n: int) -> tuple[int, dict, dict, dict] | None:
+    """(c, h, a/(c h), b/(c h)) for nonzero term dicts over Z on n variables,
+    c the gcd of all their coefficients and h their `_normal` gcd; None when
+    HEU_GCD_MAX evaluation points fail.
+
+    The heuristic gcd of Char, Geddes and Gonnet (J. Symb. Comp. 7, 1989).
+    With the content removed, x_{n-1} is set to an integer xi above
+    2 min(|a|, |b|) + 2 (max norms) and the gcd of the images is found
+    recursively, down to `math.gcd`.  The primitive part h of the polynomial
+    whose coefficients are the balanced xi-adic digits of that gcd is kept
+    only when trial division of both operands by it is exact.  At such a xi
+    every root of a coefficient (in x_{n-1}) of the operand of smaller norm
+    lies below xi / 2, so a common divisor read back this way is the gcd.
+    """
+    c = math.gcd(*a.values(), *b.values())
+    if c != 1:
+        a = {e: v // c for e, v in a.items()}
+        b = {e: v // c for e, v in b.items()}
+    if not n:
+        return c, {0: 1}, a, b
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    for attempt in range(HEU_GCD_MAX):
+        if attempt:
+            xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+        ea, eb = _evaluate(a, xi, n), _evaluate(b, xi, n)
+        if not (ea and eb):
+            # xi is a root of the operand of larger norm
+            continue
+        found = _heu_gcd(ea, eb, n - 1)
+        if found is None:
+            return None
+        ci, hi = found[:2]
+        h = _normal(_interpolate(_times(hi, ci), xi, n), 0)
+        if h == {0: 1}:
+            # a constant divides both, so the gcd is 1
+            return c, h, a, b
+        qa = _quo(a, h)
+        qb = qa and _quo(b, h)
+        if qb:
+            return c, h, qa, qb
+    return None

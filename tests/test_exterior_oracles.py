@@ -8,12 +8,15 @@
 evaluated with sympy's polynomial derivatives and products on unreduced
 fractions (sign(I, K) is the signature of the shuffle that sorts I + K),
 over Q and F_5 on charts of 2 and 3 variables.  d o d = 0, the Leibniz rule
-and the naturality of `pullback` are checked on the same forms.  Charts of 4
-variables with rational coefficients are left out: `wedge` swells there.
+and the naturality of `pullback` are checked on the same forms.  On four
+variables with rational coefficients, Omega ^ d Omega of a triple extended to
+a 1-form is compared with sympy's rational function field.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,12 +25,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation
+from sympy.polys.fields import field as sympy_field
 
-from gvcalc import Chart, DiffForm, MultiPoly, RatFn, ext_d, pullback, wedge
+from gvcalc import Chart, DiffForm, MultiPoly, RatFn, Triple, ext_d, pullback, wedge
+from gvcalc.zseries import FormalOmega, to_extended_form
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 CHARTS = [Chart(names, p) for p in (0, 5) for names in (("x", "y"), ("x", "y", "w"))]
+SPACE = Chart(("x", "y", "z"))
 
 
 def chart_id(chart: Chart) -> str:
@@ -213,3 +219,66 @@ def test_pullback_commutes_with_d(chart):
         assert pullback(phi, ext_d(a)) == ext_d(pullback(phi, a))
 
     check()
+
+
+def random_triple(rng: random.Random) -> Triple:
+    """Three 1-forms on (x, y, z) whose coefficients have numerators of at
+    most 3 terms over nonzero denominators of at most 2 terms."""
+
+    def poly(terms: int) -> MultiPoly:
+        out = {}
+        for _ in range(terms):
+            e = tuple(rng.randint(0, 2) for _ in range(3))
+            out[e] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        return MultiPoly(SPACE, out)
+
+    def coeff() -> RatFn:
+        den = poly(rng.randint(1, 2))
+        while den.is_zero():
+            den = poly(rng.randint(1, 2))
+        return RatFn(poly(rng.randint(0, 3)), den)
+
+    def form() -> DiffForm:
+        return DiffForm(SPACE, 1, {(i,): coeff() for i in range(3)})
+
+    w0 = form()
+    while w0.is_zero():
+        w0 = form()
+    return Triple(w0, form(), form())
+
+
+def test_wedge_of_an_extended_triple_matches_sympy():
+    """Omega ^ d Omega for Omega = dt + w0 + t w1 + t^2 w2 on four variables.
+
+    The tree before the heuristic gcd ran for more than 20 s on this draw
+    (its `RatFn` sums reduce through the PRS).  The oracle builds Omega from
+    the triple in sympy's field QQ(x, y, z, t), which cancels every result,
+    and applies the coordinate formulas.
+    """
+    triple = random_triple(random.Random(1))
+    omega = to_extended_form(FormalOmega(SPACE, triple.converted("half").forms), "t")
+    ours = wedge(omega, ext_d(omega))
+
+    K, *gens = sympy_field("x,y,z,t", sympy.QQ)
+
+    def lift_poly(f: MultiPoly):
+        monomials = (
+            K(sympy.Rational(c.numerator, c.denominator)) * math.prod(g**k for g, k in zip(gens, e))
+            for e, c in f.terms.items()
+        )
+        return sum(monomials, K(0))
+
+    def lift(f: RatFn):
+        return lift_poly(f.num) / lift_poly(f.den)
+
+    t = gens[3]
+    om = [
+        sum((t**k * lift(w.coeff((i,))) for k, w in enumerate(triple.forms)), K(0))
+        for i in range(3)
+    ]
+    om.append(K(1))
+    d = {(i, j): om[j].diff(gens[i]) - om[i].diff(gens[j]) for i, j in combinations(range(4), 2)}
+    assert set(ours.terms) <= set(combinations(range(4), 3))
+    for i, j, k in combinations(range(4), 3):
+        expected = om[i] * d[j, k] - om[j] * d[i, k] + om[k] * d[i, j]
+        assert lift(ours.coeff((i, j, k))) == expected, (i, j, k)

@@ -11,7 +11,8 @@ integer core is compared, operation by operation, with plain loops over
 `Fraction` coefficients on large numerators and denominators, and the
 scalar shortcuts of `RatFn` with its general path.  The kernels on packed
 monomial keys are compared with the same loops on exponent tuples, and every
-stored key is checked to be a well-formed packing of its exponents.
+stored key is checked to be a well-formed packing of its exponents.  Over Q
+the heuristic gcd is compared with the PRS it falls back to, and with sympy.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ from gvcalc import (
     poly_gcd,
     squarefree_decomposition,
 )
+from gvcalc import field, intpoly
 from gvcalc.field import _cofactors, _drop_variable
-from gvcalc.intpoly import HALF, MASK, W, _coeffs, _div_terms, _gcd_terms, _mul_terms
-from gvcalc.intpoly import _pack, _unpack, _var
+from gvcalc.intpoly import HALF, MASK, W, _coeffs, _div_terms, _gcd_terms, _heu_gcd, _mul_terms
+from gvcalc.intpoly import _pack, _times, _unpack, _var
 
 PRIMES = (0, 2, 3, 5, 7)
 VARIABLES = ("x", "y", "z")
@@ -823,3 +825,136 @@ def test_exponent_overflow_raises():
         with pytest.raises(GvError, match="overflow"):
             MultiPoly(chart, {exp: 1})
     assert (HALF - 1, 0) in top.terms and (HALF, 0) not in top.terms
+
+
+# -- GCDHEU against the PRS ----------------------------------------------------
+#
+# Over Q `_cofactors` runs the heuristic gcd `_heu_gcd` first and falls back
+# to the primitive PRS `_gcd_terms` only when it gives up.  Its results are
+# compared with the PRS followed by `_div_terms`, and with sympy.
+
+BIG = st.one_of(st.integers(-9, 9), st.integers(-(10**12), 10**12)).filter(bool)
+
+
+def check_heuristic(a: MultiPoly, b: MultiPoly) -> None:
+    """GCDHEU in both orders succeeds with the PRS gcd, the integer content
+    of the pair and the PRS cofactors, and `_cofactors` agrees with sympy."""
+    n = a.chart.dim
+    for x, y in ((a._ints, b._ints), (b._ints, a._ints)):
+        found = _heu_gcd(x, y, n)
+        assert found is not None
+        c, h, qx, qy = found
+        assert h == _gcd_terms(x, y, 0) and h[max(h)] > 0
+        assert c == math.gcd(*x.values(), *y.values())
+        for f, q in ((x, qx), (y, qy)):
+            q = _times(q, c)
+            assert q == (f if h == {0: 1} else _div_terms(f, h, 0))
+    check_cofactors(a, b)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_heuristic_cofactors_match_the_prs_and_sympy(dim):
+    chart = Chart(VARIABLES[:dim])
+    x = MultiPoly.var(chart, "x")
+
+    @SETTINGS
+    @given(
+        nonzero(0, max_terms=4, max_exp=2, dim=dim, coeff=BIG),
+        nonzero(0, max_terms=4, max_exp=2, dim=dim, coeff=BIG),
+        nonzero(0, max_terms=3, max_exp=2, dim=dim, coeff=BIG),
+        polys(0, max_terms=1, min_terms=1, max_exp=2, dim=dim, coeff=st.just(1)),
+        st.sampled_from((1, -1)),
+    )
+    def check(a, b, c, m, sign):
+        # a planted factor, a monomial content, a negative leading coefficient
+        check_heuristic(a * c * m, b * c * sign)
+        check_heuristic(a * m, b * m * sign)
+        # coprime pairs
+        check_heuristic(a, b * sign)
+        check_heuristic(a, a * x + 1)
+
+    check()
+
+
+def test_cofactors_without_the_heuristic_are_the_same(monkeypatch):
+    pairs = []
+
+    @SETTINGS
+    @given(
+        nonzero(0, max_terms=4, max_exp=2, dim=3),
+        nonzero(0, max_terms=4, max_exp=2, dim=3),
+        nonzero(0, max_terms=3, max_exp=2, dim=3),
+    )
+    def draw(a, b, c):
+        pairs.extend(((a * c, b * c), (b * c, a * c), (a, b)))
+
+    draw()
+    heuristic = [_cofactors(x, y) for x, y in pairs]
+    calls = []
+    with monkeypatch.context() as m:
+        # the heuristic gives up at once
+        m.setattr(field, "_heu_gcd", lambda *args: calls.append(args))
+        fallback = [_cofactors(x, y) for x, y in pairs]
+    assert len(calls) == sum(len(x.terms) > 1 and len(y.terms) > 1 for x, y in pairs) > 0
+    assert heuristic == fallback
+
+
+def test_heuristic_rejects_a_candidate_and_skips_a_root(monkeypatch):
+    chart = Chart(("x", "y"))
+    x, y = (MultiPoly.var(chart, v) for v in chart.variables)
+    quotients, images = [], []
+
+    def quo(a, b):
+        quotients.append(intpoly_quo(a, b))
+        return quotients[-1]
+
+    def evaluate(f, xi, n):
+        images.append(intpoly_evaluate(f, xi, n))
+        return images[-1]
+
+    intpoly_quo, intpoly_evaluate = intpoly._quo, intpoly._evaluate
+    monkeypatch.setattr(intpoly, "_quo", quo)
+    monkeypatch.setattr(intpoly, "_evaluate", evaluate)
+    # the images at the first point share a factor that the operands do not
+    check_heuristic(14 * x**3 + 56 * x**2, -14 * x**3 - 63)
+    assert None in quotients
+    # the first point, 2 * 1 + 29 = 31, is a root of the operand of larger norm
+    for a, b in (((x - 31) ** 2, x + 1), ((y - 31) ** 2 * (x + 1), x + y)):
+        images.clear()
+        check_heuristic(a, b)
+        check_heuristic(a * (x + 2), b * (x + 2))
+        assert {} in images
+
+
+# Planted-factor pairs on (x, y, z) on which the PRS ran past a 2 s alarm
+# (3 of 150 seeded draws with 8-12 terms per operand and factor coefficients
+# up to 1e6); the heuristic takes under 1 ms on each.
+PRS_SWELLS = [
+    (
+        {(3, 3, 3): 630859, (3, 0, 3): 587764, (0, 2, 2): 773916, (0, 3, 0): 709104},
+        {(2, 3, 2): -374984, (0, 2, 3): 499970, (0, 3, 1): 190415, (1, 2, 0): -612939},
+        {(3, 2, 3): 858796, (0, 2, 3): 948048, (0, 1, 3): 452313},
+    ),
+    (
+        {(3, 2, 3): -898548, (3, 3, 0): -218122, (0, 1, 2): 101955},
+        {(3, 2, 2): -561601, (1, 3, 2): 819874, (3, 0, 1): -549428, (0, 3, 0): -601307},
+        {(2, 3, 2): 652679, (2, 1, 1): -395398, (1, 2, 1): 854651},
+    ),
+    (
+        {(1, 1, 3): -769774, (0, 0, 3): -15003, (2, 0, 0): -582128, (0, 0, 1): 72819},
+        {(1, 3, 3): -253284, (3, 3, 0): 797152, (2, 0, 2): 29478, (1, 0, 0): -698887},
+        {(3, 3, 3): -236132, (3, 2, 3): -574363, (0, 2, 2): -761108},
+    ),
+]
+
+
+@pytest.mark.parametrize("factors", PRS_SWELLS, ids=["draw38", "draw329", "draw452"])
+def test_heuristic_cofactors_where_the_prs_swells(factors, monkeypatch):
+    def no_prs(*args):
+        raise AssertionError("the PRS fallback ran")
+
+    monkeypatch.setattr(field, "_gcd_terms", no_prs)
+    chart = Chart(("x", "y", "z"))
+    a, b, c = (MultiPoly(chart, f) for f in factors)
+    assert len((a * c).terms) in range(8, 13) and len((b * c).terms) in range(8, 13)
+    check_cofactors(a * c, b * c)
