@@ -392,7 +392,8 @@ def invariant_hypersurface_candidates(
         raise ChartMismatch("the factor and the form live on different charts")
     if not _closed_identity(factor, w):
         raise GvError("the function is not an integrating factor of the form")
-    if all(factor.diff(v).is_zero() for v in range(chart.dim)):
+    # for coprime P/Q, d(P/Q) = 0 exactly when dP = dQ = 0
+    if all(f.diff(v).is_zero() for f in (factor.num, factor.den) for v in range(chart.dim)):
         raise GvError(
             "the integrating factor is a p-th power; its logarithmic "
             "differential vanishes and the polar sieve is empty"

@@ -9,6 +9,7 @@ arithmetic.  All operations are exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import ChartMismatch, GvError, ZeroFunction
@@ -121,15 +122,7 @@ class DiffForm:
         if not isinstance(other, DiffForm):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            s = out.get(idx)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        return DiffForm._raw(self.chart, self.degree, out)
+        return _collect(self.chart, self.degree, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "DiffForm":
         return DiffForm._raw(self.chart, self.degree, {i: -c for i, c in self.terms.items()})
@@ -137,7 +130,9 @@ class DiffForm:
     def __sub__(self, other) -> "DiffForm":
         if not isinstance(other, DiffForm):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        negated = ((i, -c) for i, c in other.terms.items())
+        return _collect(self.chart, self.degree, chain(self.terms.items(), negated))
 
     def __mul__(self, other) -> "DiffForm":
         """Multiplication by a function or constant."""
@@ -172,22 +167,31 @@ class DiffForm:
 _set_chart, _set_degree, _set_terms = (DiffForm.__dict__[n].__set__ for n in DiffForm.__slots__)
 
 
+def _collect(chart: Chart, degree: int, pairs: Iterable) -> DiffForm:
+    """The form summing (index, nonzero coefficient) pairs; a sum that vanishes is dropped."""
+    out: dict[tuple[int, ...], RatFn] = {}
+    for idx, c in pairs:
+        s = out.get(idx)
+        if s is None:
+            out[idx] = c
+        else:
+            s = s + c
+            if s.is_zero():
+                del out[idx]
+            else:
+                out[idx] = s
+    return DiffForm._raw(chart, degree, out)
+
+
 def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]):
-    """Merge two increasing index tuples; returns (sign, merged) or None."""
-    sign = 1
+    """Merge two increasing index tuples: (sign of the shuffle, merged), or None if they meet."""
     inversions = 0
-    for j in b:
-        greater = 0
-        for i in a:
+    for i in a:
+        for j in b:
             if i == j:
                 return None
-            if i > j:
-                greater += 1
-        inversions += greater
-    merged = tuple(sorted(a + b))
-    if inversions % 2:
-        sign = -1
-    return sign, merged
+            inversions += i > j
+    return -1 if inversions % 2 else 1, tuple(sorted(a + b))
 
 
 def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
@@ -200,23 +204,17 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     deg = a.degree + b.degree
     if deg > chart.dim:
         return DiffForm.zero(chart, deg)
-    out: dict[tuple[int, ...], RatFn] = {}
-    for ia, ca in a.terms.items():
-        for ib, cb in b.terms.items():
-            merged = _merge_indices(ia, ib)
-            if merged is None:
-                continue
-            sign, idx = merged
-            c = ca * cb
-            if sign < 0:
-                c = -c
-            s = out.get(idx)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-    return DiffForm._raw(chart, deg, out)
+
+    def pairs():
+        for ia, ca in a.terms.items():
+            for ib, cb in b.terms.items():
+                merged = _merge_indices(ia, ib)
+                if merged is not None:
+                    sign, idx = merged
+                    c = ca * cb
+                    yield idx, (c if sign > 0 else -c)
+
+    return _collect(chart, deg, pairs())
 
 
 def wedge_all(forms: Sequence[DiffForm]) -> DiffForm:
@@ -236,25 +234,19 @@ def ext_d(a) -> DiffForm:
     chart = a.chart
     if a.degree >= chart.dim:
         return DiffForm.zero(chart, a.degree + 1)
-    out: dict[tuple[int, ...], RatFn] = {}
-    for idx, c in a.terms.items():
-        for v in range(chart.dim):
-            if v in idx:
-                continue
-            dc = c.diff(v)
-            if dc.is_zero():
-                continue
-            pos = sum(1 for i in idx if i < v)
-            if pos % 2:
-                dc = -dc
-            nidx = tuple(sorted(idx + (v,)))
-            s = out.get(nidx)
-            s = dc if s is None else s + dc
-            if s.is_zero():
-                out.pop(nidx, None)
-            else:
-                out[nidx] = s
-    return DiffForm._raw(chart, a.degree + 1, out)
+
+    def pairs():
+        for idx, c in a.terms.items():
+            for v in range(chart.dim):
+                merged = _merge_indices((v,), idx)
+                if merged is None:
+                    continue
+                dc = c.diff(v)
+                if not dc.is_zero():
+                    sign, nidx = merged
+                    yield nidx, (dc if sign > 0 else -dc)
+
+    return _collect(chart, a.degree + 1, pairs())
 
 
 def d_of(f: RatFn) -> DiffForm:
@@ -347,23 +339,16 @@ def interior(x: VectorField, a: DiffForm) -> DiffForm:
         raise ChartMismatch("vector field and form on different charts")
     if a.degree == 0:
         raise GvError("interior product needs degree at least 1")
-    out: dict[tuple[int, ...], RatFn] = {}
-    for idx, c in a.terms.items():
-        for j, i in enumerate(idx):
-            comp = x.components[i]
-            if comp.is_zero():
-                continue
-            t = comp * c
-            if j % 2:
-                t = -t
-            nidx = idx[:j] + idx[j + 1:]
-            s = out.get(nidx)
-            s = t if s is None else s + t
-            if s.is_zero():
-                out.pop(nidx, None)
-            else:
-                out[nidx] = s
-    return DiffForm._raw(a.chart, a.degree - 1, out)
+
+    def pairs():
+        for idx, c in a.terms.items():
+            for j, i in enumerate(idx):
+                comp = x.components[i]
+                if not comp.is_zero():
+                    t = comp * c
+                    yield idx[:j] + idx[j + 1:], (-t if j % 2 else t)
+
+    return _collect(a.chart, a.degree - 1, pairs())
 
 
 def form_apply(a: DiffForm, x: VectorField) -> RatFn:

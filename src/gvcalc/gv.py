@@ -655,21 +655,16 @@ def _verified_order(s: GVSequence, analysis: str) -> int:
 # finite sequences: normalization shared by classify and pullback
 
 
-def _normalized_columns(
-    s: GVSequence, n: int
-) -> tuple[list[DiffForm], RatFn, bool]:
-    """Kill the subleading coefficient of a verified finite sequence.
+def _normalized_columns(t: GVSequence, n: int) -> tuple[list[DiffForm], RatFn]:
+    """Kill the subleading coefficient of a verified, trimmed finite sequence.
 
-    Returns plain (non-factorial) columns wt_0 .. wt_n of the extended form,
-    the scale function applied to the transverse coordinate, and whether the
-    coordinate was also translated.  After a translation wt_{n-1} = 0,
-    wt_n != 0 and sum_j wt_j = omega_0 / scale.  When the subleading column
-    already vanishes nothing is touched.
+    The subleading entry t_{n-1} must not vanish.  Returns plain
+    (non-factorial) columns wt_0 .. wt_n of the extended form after the
+    transverse coordinate is rescaled and then translated, and the scale
+    function applied to it: wt_{n-1} = 0, wt_n != 0 and
+    sum_j wt_j = omega_0 / scale.
     """
-    chart = s.chart
-    t = s.trimmed()
-    if t.forms[n - 1].is_zero():
-        return _plain_columns(t), chart.one(), False
+    chart = t.chart
     g = form_ratio(t.forms[n - 1], t.forms[n])
     if g is None:
         raise GvError("subleading and top coefficients are not proportional")
@@ -681,17 +676,16 @@ def _normalized_columns(
         acc = DiffForm.zero(chart, 1)
         for k in range(j, n + 1):
             c = math.comb(k, j) * (-1) ** (k - j)
-            acc = acc + r[k] * chart.const(c)
+            acc = acc + r[k] * c
         wt.append(acc)
     if not wt[n - 1].is_zero():
         raise GvError("normalization failed to kill the subleading column")
-    return wt, g, True
+    return wt, g
 
 
 def _plain_columns(s: GVSequence) -> list[DiffForm]:
     """The columns omega_k / k! of the extended form."""
-    chart = s.chart
-    return [w * chart.const(Fraction(1, math.factorial(k))) for k, w in enumerate(s.forms)]
+    return [w * Fraction(1, math.factorial(k)) for k, w in enumerate(s.forms)]
 
 
 def _lower_indices(n: int) -> list[int]:
@@ -774,7 +768,7 @@ def finite_gv_classify(
             s, t.forms[0], t.forms[1], "subleading-vanishes"
         )
 
-    wt, _scale, _shifted = _normalized_columns(s, n)
+    wt, _scale = _normalized_columns(t, n)
     omega0 = DiffForm.zero(chart, 1)
     for c in wt:
         omega0 = omega0 + c
@@ -796,7 +790,7 @@ def finite_gv_classify(
         k0 = nonzero[0]
         dl0 = _dlog(gk[k0])
         for l in nonzero[1:]:
-            theta = _dlog(gk[l]) * chart.const(n - k0) - dl0 * chart.const(n - l)
+            theta = _dlog(gk[l]) * (n - k0) - dl0 * (n - l)
             if not theta.is_zero():
                 fn = _power_quotient(gk[l], n - k0, gk[k0], n - l)
                 return _certify_witness(
@@ -804,11 +798,11 @@ def finite_gv_classify(
                 )
 
     if not nonzero:
-        eta = wt[1] * chart.const(-(n - 1))
+        eta = wt[1] * (1 - n)
         return _certify_affine(s, omega0, eta, "no-kernel-multipliers")
 
     k0 = nonzero[0]
-    beta = wt[1] + _dlog(gk[k0]) * chart.const(Fraction(1, n - k0))
+    beta = wt[1] + _dlog(gk[k0]) * Fraction(1, n - k0)
 
     gsum = chart.one()
     for k in lower:
@@ -820,7 +814,7 @@ def finite_gv_classify(
             return _certify_affine(
                 s, omega0, DiffForm.zero(chart, 1), "closed-defining-form"
             )
-        eta = wt[1] * chart.const(-(n - 1))
+        eta = wt[1] * (1 - n)
         return _certify_affine(s, omega0 / gsum, eta, "multiplier-sum-rescale")
 
     h = form_ratio(wt[n], beta)
@@ -828,7 +822,7 @@ def finite_gv_classify(
         return Inconclusive("kernel-slope", "top column is not a multiple of beta")
     dlh = _dlog(h)
     for k in nonzero:
-        residue = dlh * chart.const(n - k) + _dlog(gk[k]) * chart.const(n - 1)
+        residue = dlh * (n - k) + _dlog(gk[k]) * (n - 1)
         if not residue.is_zero():
             fn = _power_quotient(h, n - k, gk[k].inv(), n - 1)
             return _certify_witness(s, fn, residue, top, "kernel-slope-mismatch")
@@ -888,7 +882,7 @@ def _poly_in_vars(
     upow = chart.one()
     for c in coeffs_u:
         if c != 0:
-            acc = acc + upow * chart.const(c)
+            acc = acc + upow * c
         upow = upow * u
     return acc * z**zexp
 
@@ -918,13 +912,14 @@ def finite_gv_pullback(
     if omega.is_zero():
         raise GvError("the witness must be nonconstant")
 
-    wt, scale, shifted = _normalized_columns(s, n)
-    if not shifted:
+    t = s.trimmed()
+    if t.forms[n - 1].is_zero():
         raise GvError(
             "the subleading coefficient vanishes, so the defining form is "
             "already a multiple of a closed form; the affine certificate "
             "applies and no curve pullback is needed"
         )
+    wt, scale = _normalized_columns(t, n)
     if not wedge(omega, wt[n]).is_zero():
         raise GvError("witness differential is not tangent to the top column")
 
@@ -949,9 +944,9 @@ def finite_gv_pullback(
     for k, nk in zip(ks, bezout):
         if nk:
             hfun = hfun * hk[k] ** nk
-            dlog_h = dlog_h + _dlog(hk[k]) * chart.const(nk)
+            dlog_h = dlog_h + _dlog(hk[k]) * nk
 
-    f_form = wt[1] - dlog_h * chart.const(Fraction(1, r))
+    f_form = wt[1] - dlog_h * Fraction(1, r)
     ffun = form_ratio(f_form, omega)
     if ffun is None:
         raise GvError("slope form is not a multiple of the witness differential")
@@ -979,11 +974,11 @@ def finite_gv_pullback(
     pz = _poly_in_vars(curve, fcoeffs, 1)
     for k in ks:
         pz = pz + _poly_in_vars(curve, qcoeffs[k], (k - 1) // r + 1)
-    pz = pz * curve.const(r)
+    pz = pz * r
     target = DiffForm.one_form(curve, [pz, curve.one()])
 
     pulled = pullback([gfun, hfun], target)
-    cofactor = chart.const(r) * hfun / scale
+    cofactor = r * hfun / scale
     if pulled != s.forms[0] * cofactor:
         raise GvError("pullback identity failed the exact re-check")
     return PullbackReport(curve, target, (gfun, hfun), cofactor, r)

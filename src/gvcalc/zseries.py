@@ -139,7 +139,7 @@ def to_extended_form(om: FormalOmega, zname: str = "z") -> DiffForm:
     zpow = ext.one()
     for k, w in enumerate(om.coeffs):
         if not w.is_zero():
-            scale = zpow * ext.const(_inv_factorial(om.chart, k))
+            scale = zpow * _inv_factorial(om.chart, k)
             lifted = DiffForm(
                 ext, 1, {idx: c.substitute(lift) for idx, c in w.terms.items()}
             )
@@ -191,7 +191,7 @@ def from_extended_form(form: DiffForm, zname: str = "z") -> FormalOmega:
         col = columns.get(k, {})
         w = DiffForm(base, 1, {(i,): f for i, f in col.items()})
         _inv_factorial(base, k)  # reject indices at or above the characteristic
-        coeffs.append(w * base.const(factorial(k)))
+        coeffs.append(w * factorial(k))
     return FormalOmega(base, coeffs)
 
 
@@ -329,11 +329,11 @@ def substitute_series(
             zpow = _convolve(zpow, fs, upto, chart.zero())
         if wk.is_zero():
             continue
-        scale = chart.const(_inv_factorial(chart, k))
+        scale = _inv_factorial(chart, k)
         for j in range(upto + 1):
             c = zpow[j] * scale
             if not c.is_zero():
                 B[j] = B[j] + wk * c
     C = _convolve(B, _series_inv(A, upto), upto, DiffForm.zero(chart, 1))
-    out = [C[j] * chart.const(factorial(j)) for j in range(upto + 1)]
+    out = [C[j] * factorial(j) for j in range(upto + 1)]
     return FormalOmega(chart, out)

@@ -2,9 +2,11 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_field_oracles import polys
 
 from gvcalc import (
@@ -258,6 +260,36 @@ def test_closed_identity_agrees_with_ext_d(p, dim):
         v = DiffForm.one_form(chart, [RatFn(r, s), RatFn.from_poly(g)] + [RatFn(b, s)] * (dim - 2))
         for f in (RatFn(r, s), chart.one()):
             assert _closed_identity(f, v) == ext_d(v * f).is_zero()
+
+    check()
+
+
+PTH_POWER_MESSAGE = (
+    "the integrating factor is a p-th power; its logarithmic "
+    "differential vanishes and the polar sieve is empty"
+)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pth_power_test_agrees_with_partials(p):
+    # F is an integrating factor of dx / F; the sieve must refuse F exactly
+    # when every partial derivative of F vanishes.  A planted F is a p-th
+    # power; otherwise it is one times a fraction that usually is not.
+    nonzero = polys(p, max_terms=2, max_exp=2).filter(lambda f: not f.is_zero())
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(nonzero, nonzero, nonzero, nonzero, st.booleans())
+    def check(q, s, a, b, planted):
+        factor = RatFn(q, s) ** p
+        if not planted:
+            factor = factor * RatFn(a, b)
+        chart = factor.chart
+        w = DiffForm.coordinate(chart, "x") * factor.inv()
+        if all(factor.diff(v).is_zero() for v in range(chart.dim)):
+            with pytest.raises(GvError, match=f"^{re.escape(PTH_POWER_MESSAGE)}$"):
+                invariant_hypersurface_candidates(factor, w)
+        else:
+            invariant_hypersurface_candidates(factor, w)
 
     check()
 

@@ -1,16 +1,21 @@
 """Oracle tests for the exterior calculus.
 
-`ext_d` and `wedge` are compared with the coordinate formulas
+`ext_d`, `wedge`, `interior` and sums are compared with the coordinate
+formulas
 
     (d a)_J    = sum_k (-1)^k d/dx_{j_k} a_{J - j_k},
     (a ^ b)_J  = sum_{I + K = J} sign(I, K) a_I b_K,
+    (i_X a)_K  = sum_{j not in K} (-1)^{pos(j, K + j)} X_j a_{K + j},
+    (a +- b)_J = a_J +- b_J,
 
 evaluated with sympy's polynomial derivatives and products on unreduced
-fractions (sign(I, K) is the signature of the shuffle that sorts I + K),
-over Q and F_5 on charts of 2 and 3 variables.  d o d = 0, the Leibniz rule
-and the naturality of `pullback` are checked on the same forms.  On four
-variables with rational coefficients, Omega ^ d Omega of a triple extended to
-a 1-form is compared with sympy's rational function field.
+fractions (sign(I, K) is the signature of the shuffle that sorts I + K, and
+pos(j, K + j) the position of j in the sorted K + j), over Q and F_5 on
+charts of 2 and 3 variables.  Every stored coefficient must be nonzero.
+d o d = 0, the Leibniz rule and the naturality of `pullback` are checked on
+the same forms.  On four variables with rational coefficients, Omega ^ d Omega
+of a triple extended to a 1-form is compared with sympy's rational function
+field.
 """
 
 from __future__ import annotations
@@ -27,7 +32,18 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation
 from sympy.polys.fields import field as sympy_field
 
-from gvcalc import Chart, DiffForm, MultiPoly, RatFn, Triple, ext_d, pullback, wedge
+from gvcalc import (
+    Chart,
+    DiffForm,
+    MultiPoly,
+    RatFn,
+    Triple,
+    VectorField,
+    ext_d,
+    interior,
+    pullback,
+    wedge,
+)
 from gvcalc.zseries import FormalOmega, to_extended_form
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -72,6 +88,18 @@ def forms(chart: Chart, degree: int, coeffs=None):
 
 def any_form(chart: Chart, coeffs=None):
     return st.integers(0, chart.dim).flatmap(lambda deg: forms(chart, deg, coeffs))
+
+
+def same_degree_pairs(chart: Chart):
+    return st.integers(0, chart.dim).flatmap(
+        lambda deg: st.tuples(forms(chart, deg), forms(chart, deg))
+    )
+
+
+def vector_fields(chart: Chart):
+    return st.lists(ratfns(chart), min_size=chart.dim, max_size=chart.dim).map(
+        lambda cs: VectorField(chart, cs)
+    )
 
 
 def form_pairs(chart: Chart):
@@ -148,7 +176,32 @@ def oracle_wedge(a: DiffForm, b: DiffForm) -> dict:
     return out
 
 
+def oracle_interior(x: VectorField, a: DiffForm) -> dict:
+    out = {}
+    for K in combinations(range(a.chart.dim), a.degree - 1):
+        acc = None
+        for j in range(a.chart.dim):
+            J = tuple(sorted(K + (j,)))
+            if j not in K and J in a.terms:
+                sign = (-1) ** J.index(j)
+                term = frac_mul(fraction_of(x.components[j]), fraction_of(a.terms[J]), sign)
+                acc = term if acc is None else frac_add(acc, term)
+        if acc is not None:
+            out[K] = acc
+    return out
+
+
+def oracle_sum(a: DiffForm, b: DiffForm, sign: int) -> dict:
+    out = {J: fraction_of(c) for J, c in a.terms.items()}
+    for J, c in b.terms.items():
+        num, den = fraction_of(c)
+        term = (num * sign, den)
+        out[J] = frac_add(out[J], term) if J in out else term
+    return out
+
+
 def assert_matches(ours: DiffForm, oracle: dict) -> None:
+    assert all(not c.is_zero() for c in ours.terms.values())
     for J in set(ours.terms) | set(oracle):
         num, den = fraction_of(ours.coeff(J))
         onum, oden = oracle.get(J, (num * 0, den))
@@ -175,6 +228,29 @@ def test_wedge_matches_sympy_products(chart):
     def check(pair):
         a, b = pair
         assert_matches(wedge(a, b), oracle_wedge(a, b))
+
+    check()
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=chart_id)
+def test_interior_matches_sympy_products(chart):
+    @SETTINGS
+    @given(vector_fields(chart), st.integers(1, chart.dim).flatmap(lambda deg: forms(chart, deg)))
+    def check(x, a):
+        assert_matches(interior(x, a), oracle_interior(x, a))
+
+    check()
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=chart_id)
+def test_sums_match_sympy_sums(chart):
+    @SETTINGS
+    @given(same_degree_pairs(chart))
+    def check(pair):
+        a, b = pair
+        assert_matches(a + b, oracle_sum(a, b, 1))
+        assert_matches(a - b, oracle_sum(a, b, -1))
+        assert_matches(a - a, oracle_sum(a, a, -1))
 
     check()
 

@@ -756,8 +756,14 @@ class TestPullback:
         w = [dxy, zero, dxy * (x * y) ** 2, zero, dxy * (x * y)]
         forms = [w[k] * xy.const(math.factorial(k)) for k in range(5)]
         s = GVSequence(forms, declared_length=5)
-        with pytest.raises(GvError):
-            finite_gv_pullback(s, x * y, 2)
+        dx = DiffForm.coordinate(xy, "x")
+        order_three = GVSequence([dx, zero, zero, dx * x], 4)
+        assert finite_gv_verify(order_three).order == 3
+        assert finite_gv_classify(order_three).branch == "subleading-vanishes"
+        message = "^the subleading coefficient vanishes, .* no curve pullback is needed$"
+        for seq, witness in ((s, x * y), (order_three, x)):
+            with pytest.raises(GvError, match=message):
+                finite_gv_pullback(seq, witness, 2)
 
     def test_classify_witness_feeds_pullback(self, xy):
         x, y = xy.var("x"), xy.var("y")
