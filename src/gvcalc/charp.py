@@ -11,6 +11,13 @@ contraction vanishes the kernel distribution is closed under p-th powers
 and no factor is produced here; that outcome is reported as an explicit
 error value rather than recovered by other means.
 
+The contraction never forms X^p itself.  Write X = Y/den with Y a
+derivation with polynomial coefficients.  Hochschild's formula
+(fY)^p = f^p Y^p + (fY)^(p-1)(f) Y (Trans. AMS 79, 1955), with f = 1/den
+and w(Y) = den w(X) = 0, gives w(X^p) = w(Y^p) / den^p, and Y^p of each
+coordinate is iterated on polynomials.  `vf_pth_power` keeps the direct
+iteration of X on cleared numerators, over den^(2p-1).
+
 Every successful run re-checks d(F*w) = 0 and the contraction identities
 behind it, so the output is a per-instance certificate rather than an
 appeal to the general statement.
@@ -218,6 +225,20 @@ def _reduce_fraction(
     return RatFn._raw(num, den)
 
 
+def _polynomial_pth_power(nums: Sequence[MultiPoly], p: int) -> list[MultiPoly]:
+    """Values Y^p(x_j) = Y^(p-1)(n_j) of the derivation Y = sum_k n_k d_k.
+
+    Y has polynomial coefficients, so every step is a polynomial product and
+    no denominator ever appears.
+    """
+    gs = []
+    for g in nums:
+        for _ in range(p - 1):
+            g = reduce(add, (n * g.diff(k) for k, n in enumerate(nums)))
+        gs.append(g)
+    return gs
+
+
 def _pth_power_numerators(
     x: VectorField, p: int
 ) -> tuple[list[MultiPoly], int, MultiPoly]:
@@ -225,28 +246,23 @@ def _pth_power_numerators(
 
     Writing the running value as g/d^s, one application of X sends g to
     sum_k n_k (d_k(g) d - s g d_k(d)) and s to s+2, so the whole iteration
-    is polynomial arithmetic; nothing is normalized until the end.
+    is polynomial arithmetic; nothing is normalized until the end.  Only
+    `vf_pth_power` uses it: `integrating_factor` needs the contraction
+    alone, which Hochschild's formula reduces to polynomial iteration.
     """
     chart = x.chart
     nums, den = _common_denominator(list(x.components))
     dden = [den.diff(k) for k in range(chart.dim)]
     gs = []
-    s = 0
-    for name in chart.variables:
-        g = MultiPoly.var(chart, name)
-        s = 0
-        for _ in range(p):
-            if s == 0:
-                g = reduce(add, (n * g.diff(k) for k, n in enumerate(nums)))
-                s = 1
-            else:
-                g = reduce(
-                    add,
-                    (n * (g.diff(k) * den - g.scale(s) * dden[k]) for k, n in enumerate(nums)),
-                )
-                s += 2
+    for g in nums:
+        # X(x_j) = n_j / d; each further step raises the power of d by two
+        for s in range(1, 2 * p - 1, 2):
+            g = reduce(
+                add,
+                (n * (g.diff(k) * den - g.scale(s) * dden[k]) for k, n in enumerate(nums)),
+            )
         gs.append(g)
-    return gs, s, den
+    return gs, 2 * p - 1, den
 
 
 def vf_pth_power(x: VectorField, p: int) -> VectorField:
@@ -312,7 +328,9 @@ def integrating_factor(w: DiffForm, fs: Optional[Sequence] = None) -> RatFn:
 
     Scans the kernel fields of a dual frame in order and inverts the first
     nonzero contraction w(X_i^p).  The smallest index wins, which makes the
-    output deterministic; no uniqueness is claimed.  Raises PClosedCase when
+    output deterministic; no uniqueness is claimed.  Each contraction is
+    w(Y^p) / den^p for X = Y/den with Y polynomial, by Hochschild's formula
+    (fY)^p = f^p Y^p + (fY)^(p-1)(f) Y and w(Y) = 0.  Raises PClosedCase when
     every contraction vanishes: the kernel distribution is then closed under
     p-th powers and the form is proportional to an exact differential, a
     case this routine reports rather than resolves.
@@ -327,11 +345,13 @@ def integrating_factor(w: DiffForm, fs: Optional[Sequence] = None) -> RatFn:
     kernel = frame.kernel_fields
     wnums, wden = _common_denominator(list(w.coeffs()))
     for x in kernel:
-        gs, s, den = _pth_power_numerators(x, p)
+        # X = Y/den with Y polynomial, and w(Y) = den*w(X) = 0
+        nums, den = _common_denominator(list(x.components))
+        gs = _polynomial_pth_power(nums, p)
         num = reduce(add, (wn * g for wn, g in zip(wnums, gs)))
         if num.is_zero():
             continue
-        contraction = _reduce_fraction(num, [(wden, 1), (den, s)])
+        contraction = _reduce_fraction(num, [(wden, 1), (den, p)])
         factor = contraction.inv()
         if not _closed_identity(factor, w):
             raise GvError("the integrating factor failed its closedness certificate")

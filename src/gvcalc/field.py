@@ -830,11 +830,23 @@ class RatFn:
         return RatFn._raw(self.den, self.num)
 
     def diff(self, v: int | str) -> "RatFn":
-        """Partial derivative by the quotient rule."""
+        """Partial derivative by the quotient rule, reduced against Q and Q_v.
+
+        With P/Q reduced and g, h, k = gcd, Q/g, Q_v/g, the derivative is
+        (P_v h - P k) / (g h^2).  A prime factor of h divides Q but neither P
+        nor k, so the numerator is coprime to h and only g is left to cancel.
+        """
         if isinstance(v, str):
             v = self.chart.index(v)
         n, d = self.num, self.den
-        return RatFn(n.diff(v) * d - n * d.diff(v), d * d)
+        dv = d.diff(v)
+        if dv.is_zero():
+            return RatFn(n.diff(v), d)
+        g, h, k = _cofactors(d, dv)
+        num = n.diff(v) * h - n * k
+        if not (num.is_zero() or g.is_constant()):
+            _, num, g = _cofactors(num, g)
+        return RatFn._raw(num, g * h * h)
 
     def substitute(self, values: Sequence["RatFn"]) -> "RatFn":
         den = self.den.substitute(values)

@@ -331,9 +331,9 @@ def substitute_series(
             continue
         scale = _inv_factorial(chart, k)
         for j in range(upto + 1):
-            c = zpow[j] * scale
-            if not c.is_zero():
-                B[j] = B[j] + wk * c
+            # scale = 1/k! with k < p is a unit, so a nonzero zpow[j] stays nonzero
+            if not zpow[j].is_zero():
+                B[j] = B[j] + wk * (zpow[j] * scale)
     C = _convolve(B, _series_inv(A, upto), upto, DiffForm.zero(chart, 1))
     out = [C[j] * factorial(j) for j in range(upto + 1)]
     return FormalOmega(chart, out)

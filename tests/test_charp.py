@@ -26,6 +26,7 @@ from gvcalc import (
     form_apply,
     integrating_factor,
     invariant_hypersurface_candidates,
+    pullback,
     vf_pth_power,
 )
 from gvcalc.charp import _closed_identity
@@ -239,11 +240,10 @@ class TestIntegratingFactor:
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_closed_identity_agrees_with_ext_d(p, dim):
     # ext_d(w * F).is_zero() is the reference; w = (a/b) dg has the factors
-    # b/a and (b/a) q^p, and r/s is usually not one.  Denominators have at
-    # most 2 terms: on 3 variables at p = 3 or 5, ext_d of a coefficient over
-    # a product of 3-term denominators can run for minutes in the gcd.
+    # b/a and (b/a) q^p, and r/s is usually not one.  Denominators have up to
+    # 3 terms: `RatFn.diff` reduces against gcd(Q, Q_v), not against Q^2.
     small = polys(p, max_terms=3, max_exp=2, dim=dim)
-    dens = polys(p, max_terms=2, max_exp=2, dim=dim).filter(lambda f: not f.is_zero())
+    dens = polys(p, max_terms=3, max_exp=2, dim=dim).filter(lambda f: not f.is_zero())
     linear = polys(p, max_terms=2, max_exp=1, dim=dim)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -262,6 +262,80 @@ def test_closed_identity_agrees_with_ext_d(p, dim):
             assert _closed_identity(f, v) == ext_d(v * f).is_zero()
 
     check()
+
+
+def random_poly(chart: Chart, rng: random.Random, terms: int, degree: int) -> MultiPoly:
+    """At most `terms` monomials of total degree at most `degree`."""
+    out = {}
+    for _ in range(terms):
+        e = [0] * chart.dim
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(chart.dim)] += 1
+        out[tuple(e)] = rng.randrange(1, chart.characteristic)
+    return MultiPoly(chart, out)
+
+
+def random_fraction(chart: Chart, rng: random.Random) -> RatFn:
+    den = MultiPoly.zero(chart)
+    while den.is_zero():
+        den = random_poly(chart, rng, rng.randint(1, 2), 1)
+    return RatFn(random_poly(chart, rng, rng.randint(0, 2), 2), den)
+
+
+def random_integrable_form(chart: Chart, rng: random.Random) -> DiffForm:
+    """A rational 1-form on (x, y), or an integrable one on (x, y, z).
+
+    On three variables it is mostly a plane form pulled back along
+    (x + a z, y + b z), which keeps its denominators nonzero, and
+    otherwise h dg, whose kernel is p-closed.  The draws stay small: larger
+    3-variable fractions can stall in the F_p gcd.
+    """
+    p = chart.characteristic
+    while True:
+        if chart.dim == 2:
+            w = DiffForm.one_form(chart, [random_fraction(chart, rng) for _ in range(2)])
+        elif rng.random() < 0.25:
+            g = RatFn.from_poly(random_poly(chart, rng, rng.randint(1, 3), 2))
+            w = d_of(g) * random_fraction(chart, rng)
+        else:
+            z = chart.var("z")
+            phi = [chart.var(n) + z * rng.randrange(p) for n in ("x", "y")]
+            w = pullback(phi, random_integrable_form(Chart(("u", "v"), p), rng))
+        if not w.is_zero():
+            return w
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_factor_inverts_the_first_nonzero_pth_power_contraction(p, dim):
+    # the reference contracts w with vf_pth_power, which iterates X itself on
+    # cleared numerators; integrating_factor iterates the polynomial field
+    # Y = den * X and divides by den^p
+    chart = Chart(("x", "y", "z")[:dim], p)
+    rng = random.Random(10 * p + dim)
+    outcomes = set()
+    for k in range(10):
+        w = random_integrable_form(chart, rng)
+        fs = None
+        if k % 2:
+            fs = [chart.var("y") + chart.var("x") * (k % 3)] + [chart.var(n) for n in "z"[: dim - 2]]
+        try:
+            frame = dual_frame(w, fs)
+        except DegenerateFrame:
+            with pytest.raises(DegenerateFrame):
+                integrating_factor(w, fs)
+            continue
+        values = [form_apply(w, vf_pth_power(x, p)) for x in frame.kernel_fields]
+        first = next((c for c in values if not c.is_zero()), None)
+        if first is None:
+            with pytest.raises(PClosedCase):
+                integrating_factor(w, fs)
+            outcomes.add("p-closed")
+        else:
+            f = integrating_factor(w, fs)
+            assert f == 1 / first and str(f) == str(1 / first)
+            outcomes.add("factor")
+    assert outcomes == {"factor", "p-closed"}
 
 
 PTH_POWER_MESSAGE = (

@@ -69,10 +69,10 @@ def polys(chart: Chart, max_terms: int = 3, max_exp: int = 2):
 
 
 def ratfns(chart: Chart):
-    """Mostly polynomials, sometimes over a small nonzero denominator."""
+    """Mostly polynomials, sometimes over a nonzero denominator of up to 3 terms."""
     dens = st.one_of(
         st.just(MultiPoly.const(chart, 1)),
-        polys(chart, max_terms=2, max_exp=1).filter(lambda d: not d.is_zero()),
+        polys(chart, max_terms=3, max_exp=2).filter(lambda d: not d.is_zero()),
     )
     return st.builds(RatFn, polys(chart), dens)
 

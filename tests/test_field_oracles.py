@@ -20,11 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import math
+import signal
 from operator import add
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gvcalc import (
@@ -600,6 +601,101 @@ def test_ratfn_scalar_operators_agree_with_the_general_path(p):
             assert (f * c).is_zero() and f + c == f
 
     check()
+
+
+# -- the partial derivative of a fraction ----------------------------------------
+#
+# `RatFn.diff` reduces (P_v h - P k) / (g h^2) against g = gcd(Q, Q_v) only.
+# The references are the quotient rule reduced against Q^2 by the general
+# constructor, and sympy's cancel of the same quotient.
+
+DIFF_KINDS = ("general", "num free of v", "den free of v", "den a p-th power in v")
+
+
+def stretched(f: MultiPoly, v: int, k: int) -> MultiPoly:
+    """f with every exponent of x_v multiplied by k (k = 0 drops x_v)."""
+    chart = f.chart
+    out = MultiPoly.zero(chart)
+    for e, c in f.terms.items():
+        out = out + MultiPoly.monomial(chart, e[:v] + (e[v] * k,) + e[v + 1 :], c)
+    return out
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_ratfn_diff_agrees_with_the_quotient_rule_and_sympy(p):
+    kinds = DIFF_KINDS if p else DIFF_KINDS[:-1]
+
+    @SETTINGS
+    @given(polys(p, max_terms=4, max_exp=2), nonzero(p, max_terms=4, max_exp=2),
+           st.integers(0, 1), st.sampled_from(kinds))
+    def check(a, b, v, kind):
+        if kind == "num free of v":
+            a = stretched(a, v, 0)
+        elif kind == "den free of v":
+            b = stretched(b, v, 0)
+        elif kind == "den a p-th power in v":
+            b = stretched(b, v, p)
+        assume(not b.is_zero())
+        f = RatFn(a, b)
+        P, Q = f.num, f.den
+        d = f.diff(v)
+        assert_ratfn_canonical(d)
+        quotient_rule = RatFn(P.diff(v) * Q - P * Q.diff(v), Q * Q)
+        assert d == quotient_rule and str(d) == str(quotient_rule)
+        x = sympy.symbols(VARIABLES[:2])[v]
+        sp, sq = to_sympy(P), to_sympy(Q)
+        num, den = (sp.diff(x) * sq - sp * sq.diff(x)).cancel(sq**2, include=True)
+        assert to_sympy(d.num) * den == num * to_sympy(d.den)
+        assert den.total_degree() == d.den.total_degree()
+
+    check()
+
+
+def test_ratfn_diff_of_a_three_variable_fraction_over_f5_stays_fast():
+    """Reduced against Q^2, the quotient-rule numerators of these three
+    partials sent the F_p PRS into seconds per gcd; reduced against
+    gcd(Q, Q_v) they take milliseconds.  The expected quotients were computed
+    by the reduction against Q^2."""
+    chart = Chart(VARIABLES, 5)
+    x, y, z = (MultiPoly.var(chart, name) for name in VARIABLES)
+    r = 4 * x**2 * y * z + 3 * x * z**2
+    s = 4 * x**2 * y**2 * z**2 + 4 * y * z**2 + 2 * y**2
+    a = x**2 * y**2 * z**2 + 4 * y**2 * z
+    b = 2 * x * y**2 * z**2
+    f = RatFn(r * b, s * a)
+
+    def stalled(signum, frame):
+        raise TimeoutError("the partials of a 3-variable F_5 fraction took over 1 s")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(1)
+    try:
+        partials = [str(f.diff(v)) for v in range(3)]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert partials == [F5_PARTIAL_X, F5_PARTIAL_Y, F5_PARTIAL_Z]
+
+
+F5_DEN_XZ = (
+    "x^8*y^3*z^6 + 3*x^6*y^3*z^5 + 2*x^6*y^2*z^6 + x^6*y^3*z^4 + x^4*y^3*z^4"
+    " + x^4*y^2*z^5 + x^4*y*z^6 + 3*x^4*y^3*z^3 + x^4*y^2*z^4 + 4*x^4*y^3*z^2"
+    " + 2*x^2*y^2*z^4 + 3*x^2*y*z^5 + x^2*y^3*z^2 + 3*x^2*y^2*z^3 + 2*x^2*y^3*z"
+    " + y*z^4 + y^2*z^2 + 4*y^3"
+)
+F5_PARTIAL_X = (
+    "(3*x^6*y^2*z^5 + 2*x^5*y*z^6 + 3*x^4*y^2*z^4 + 2*x^4*y*z^5 + x^4*y^2*z^3"
+    f" + 4*x^2*y*z^4 + 2*x^2*y^2*z^2 + 2*x*z^5 + x*y*z^3)/({F5_DEN_XZ})"
+)
+F5_PARTIAL_Y = (
+    "(3*x^5*y^2*z^4 + 2*x^4*y*z^5 + 4*x^3*y^2*z^2 + x^2*z^5 + x^2*y*z^3)/(x^6*y^4*z^5"
+    " + 4*x^4*y^4*z^4 + 2*x^4*y^3*z^5 + x^4*y^4*z^3 + 3*x^2*y^3*z^4 + x^2*y^2*z^5"
+    " + 4*x^2*y^4*z^2 + x^2*y^3*z^3 + 4*x^2*y^4*z + 4*y^2*z^4 + 4*y^3*z^2 + y^4)"
+)
+F5_PARTIAL_Z = (
+    "(3*x^7*y^2*z^4 + 3*x^5*y*z^4 + x^5*y^2*z^2 + x^4*y*z^4 + 4*x^4*y*z^3"
+    f" + 3*x^3*y^2*z + x^2*z^4 + 4*x^2*y*z^2)/({F5_DEN_XZ})"
+)
 
 
 # -- the packed core against tuple-keyed loops ---------------------------------
