@@ -4,16 +4,29 @@ A degree-k form is a sparse dictionary from strictly increasing k-tuples of
 variable indices to nonzero rational functions.  Degree-0 forms use the empty
 tuple as their single key, so functions, 1-forms, and higher forms share one
 arithmetic.  All operations are exact.
+
+Sums of forms, `interior`, and `wedge` and `ext_d` of forms with a
+fractional coefficient add `RatFn` pairs in `_collect`.  When every
+coefficient of the operands of `wedge` or `ext_d` is a polynomial, the form
+is summed instead in `_PolySum`: each product k*c1*c2 and each derivative
+k*d_v(c) is added in place into one packed-int term dict per output index
+(`intpoly._mul_terms`, `intpoly._diff_terms`), over one integer denominator
+per index that is raised to the lcm when a term with another one arrives,
+and each index that survives becomes one `RatFn` at the end.  No
+intermediate `MultiPoly` or `RatFn` is built.  `zseries.structure_defect`
+sums a whole structure relation in one `_PolySum`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import ChartMismatch, GvError, ZeroFunction
-from .field import Chart, MultiPoly, RatFn, _coerce, as_ratfn
+from .field import Chart, MultiPoly, RatFn, _UNIT, _coerce, _one, _over_one, _reduced, as_ratfn
+from .intpoly import _diff_terms, _mul_terms, _times, _var
 
 
 class DiffForm:
@@ -84,7 +97,11 @@ class DiffForm:
         return not self.terms
 
     def coeff(self, idx: Sequence[int]) -> RatFn:
-        return self.terms.get(tuple(idx), self.chart.zero())
+        try:
+            idx = tuple(idx)
+        except TypeError:
+            raise GvError(f"a form index must be a sequence of ints, not {idx!r}") from None
+        return self.terms.get(idx, self.chart.zero())
 
     def coeffs(self) -> tuple[RatFn, ...]:
         """Coefficient vector of a 1-form in chart order."""
@@ -183,6 +200,90 @@ def _collect(chart: Chart, degree: int, pairs: Iterable) -> DiffForm:
     return DiffForm._raw(chart, degree, out)
 
 
+def _polynomial(a: DiffForm) -> bool:
+    """Whether every coefficient of a has denominator 1."""
+    return all(c.den._ints == _UNIT for c in a.terms.values())
+
+
+class _PolySum:
+    """A form summed from polynomial coefficients in place.
+
+    Each output index keeps [term dict, integer denominator]: the numerators
+    of the terms added so far over their lcm.  Over F_p every denominator
+    is 1.
+    """
+
+    __slots__ = ("chart", "p", "sums")
+
+    def __init__(self, chart: Chart) -> None:
+        self.chart = chart
+        self.p = chart.characteristic
+        self.sums: dict[tuple[int, ...], list] = {}
+
+    def _target(self, idx: tuple[int, ...], den: int, k: int) -> tuple[dict, int]:
+        """The term dict of idx and the weight that puts k/den over its denominator."""
+        entry = self.sums.get(idx)
+        if entry is None:
+            self.sums[idx] = entry = [{}, den]
+            return entry[0], k
+        have = entry[1]
+        if have != den:
+            lcm = math.lcm(have, den)
+            if lcm != have:
+                entry[0] = _times(entry[0], lcm // have)
+                entry[1] = lcm
+            k *= lcm // den
+        return entry[0], k
+
+    def add_wedge(self, a: "DiffForm", b: "DiffForm", k: int) -> None:
+        """Add k*(a ^ b) for an int k, a and b with polynomial coefficients."""
+        p = self.p
+        if not (k % p if p else k):
+            return
+        for ia, ca in a.terms.items():
+            for ib, cb in b.terms.items():
+                merged = _merge_indices(ia, ib)
+                if merged is None:
+                    continue
+                sign, idx = merged
+                x, y = ca.num, cb.num
+                out, w = self._target(idx, x._den * y._den, sign * k)
+                tx, ty = x._ints, y._ints
+                if w != 1:
+                    # scale the shorter operand
+                    if len(tx) <= len(ty):
+                        tx = _times(tx, w)
+                    else:
+                        ty = _times(ty, w)
+                _mul_terms(tx, ty, p, out)
+
+    def add_d(self, a: "DiffForm", k: int) -> None:
+        """Add k*(d a) for an int k, a with polynomial coefficients."""
+        p, n = self.p, self.chart.dim
+        if not (k % p if p else k):
+            return
+        for idx, c in a.terms.items():
+            x = c.num
+            for v in range(n):
+                merged = _merge_indices((v,), idx)
+                if merged is not None:
+                    sign, nidx = merged
+                    out, w = self._target(nidx, x._den, sign * k)
+                    s, u = _var(n, v)
+                    _diff_terms(x._ints, s, u, p, w, out)
+
+    def form(self, degree: int) -> "DiffForm":
+        """The summed form; an index whose sum vanished is dropped."""
+        chart = self.chart
+        one = _one(chart)
+        terms = {
+            idx: _over_one(_reduced(chart, ints, den), one)
+            for idx, (ints, den) in self.sums.items()
+            if ints
+        }
+        return DiffForm._raw(chart, degree, terms)
+
+
 def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]):
     """Merge two increasing index tuples: (sign of the shuffle, merged), or None if they meet."""
     inversions = 0
@@ -204,6 +305,10 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     deg = a.degree + b.degree
     if deg > chart.dim:
         return DiffForm.zero(chart, deg)
+    if _polynomial(a) and _polynomial(b):
+        acc = _PolySum(chart)
+        acc.add_wedge(a, b, 1)
+        return acc.form(deg)
 
     def pairs():
         for ia, ca in a.terms.items():
@@ -231,9 +336,15 @@ def ext_d(a) -> DiffForm:
     """Exterior derivative; accepts a form or a rational function."""
     if isinstance(a, RatFn):
         a = DiffForm.from_function(a)
+    elif not isinstance(a, DiffForm):
+        raise GvError(f"ext_d needs a form or a rational function, not {a!r}")
     chart = a.chart
     if a.degree >= chart.dim:
         return DiffForm.zero(chart, a.degree + 1)
+    if _polynomial(a):
+        acc = _PolySum(chart)
+        acc.add_d(a, 1)
+        return acc.form(a.degree + 1)
 
     def pairs():
         for idx, c in a.terms.items():
@@ -308,6 +419,10 @@ class VectorField:
 
     def apply(self, f: RatFn) -> RatFn:
         """Directional derivative X(f)."""
+        if not isinstance(f, RatFn):
+            raise GvError(f"a vector field applies to a rational function, not {f!r}")
+        if f.chart != self.chart:
+            raise ChartMismatch("vector field and function on different charts")
         out = self.chart.zero()
         for i, c in enumerate(self.components):
             if not c.is_zero():
@@ -335,6 +450,8 @@ class VectorField:
 
 def interior(x: VectorField, a: DiffForm) -> DiffForm:
     """Interior product i_X in the first slot."""
+    if not (isinstance(x, VectorField) and isinstance(a, DiffForm)):
+        raise GvError(f"interior needs a vector field and a form, not {x!r} and {a!r}")
     if x.chart != a.chart:
         raise ChartMismatch("vector field and form on different charts")
     if a.degree == 0:
@@ -353,7 +470,7 @@ def interior(x: VectorField, a: DiffForm) -> DiffForm:
 
 def form_apply(a: DiffForm, x: VectorField) -> RatFn:
     """Evaluate a 1-form on a vector field."""
-    if a.degree != 1:
+    if not isinstance(a, DiffForm) or a.degree != 1:
         raise GvError("form_apply expects a 1-form")
     return interior(x, a).scalar()
 
@@ -389,6 +506,10 @@ def pullback(phi: Sequence[RatFn], a: DiffForm) -> DiffForm:
     phi has one entry per variable of the form's chart; the entries live on
     the source chart.  Functions substitute; d commutes with the pullback.
     """
+    if not isinstance(a, DiffForm):
+        raise GvError(f"pullback needs a form, not {a!r}")
+    if not (isinstance(phi, Sequence) and all(isinstance(f, RatFn) for f in phi)):
+        raise GvError(f"pullback map entries must be rational functions, not {phi!r}")
     if a.degree == 0:
         return DiffForm.from_function(a.scalar().substitute(phi))
     if not phi:

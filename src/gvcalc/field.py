@@ -50,8 +50,8 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import ChartMismatch, GvError, ZeroDenominator
-from .intpoly import HALF, MASK, W, _add_terms, _div_terms, _gcd_terms, _heu_gcd, _min_exp
-from .intpoly import _mul_terms, _pack, _times, _unpack, _var
+from .intpoly import HALF, MASK, W, _add_terms, _diff_terms, _div_terms, _gcd_terms, _heu_gcd
+from .intpoly import _min_exp, _mul_terms, _pack, _times, _unpack, _var
 
 Scalar = Union[Fraction, int]
 
@@ -388,6 +388,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "MultiPoly":
+        _require_exponent(k)
         if k < 0:
             raise GvError("negative power of a polynomial")
         result = _one(self.chart)
@@ -415,23 +416,7 @@ class MultiPoly:
 
     def diff(self, v: int | str) -> "MultiPoly":
         """Partial derivative; in characteristic p the term c*x^p differentiates to 0."""
-        if isinstance(v, str):
-            v = self.chart.index(v)
-        p = self.chart.characteristic
-        s, u = _var(self.chart.dim, v)
-        out: dict[int, int] = {}
-        for e, c in self._ints.items():
-            k = e >> s & MASK
-            if k == 0:
-                continue
-            c *= k
-            if p:
-                c %= p
-                if not c:
-                    continue
-            # one degree less in x_v and in total
-            out[e - u] = c
-        return _reduced(self.chart, out, self._den)
+        return _poly_diff(self, _variable_index(self.chart, v))
 
     def substitute(self, values: Sequence["RatFn"]) -> "RatFn":
         """Evaluate at rational functions, one per chart variable, on their chart."""
@@ -476,12 +461,36 @@ _new = object.__new__
 _set_chart, _set_ints, _set_den = (MultiPoly.__dict__[n].__set__ for n in MultiPoly.__slots__)
 
 
+_UNIT = {0: 1}  # the terms of the polynomial 1, which a monic constant denominator has
+
+
 def _one(chart: Chart) -> MultiPoly:
     return MultiPoly._raw(chart, {0: 1})
 
 
+def _variable_index(chart: Chart, v) -> int:
+    """The index of a variable given by name or by index; GvError if there is none."""
+    if isinstance(v, str):
+        return chart.index(v)
+    if type(v) is not int or not 0 <= v < chart.dim:
+        raise GvError(f"no variable {v!r} on chart {chart.variables}")
+    return v
+
+
+def _require_exponent(k) -> None:
+    if type(k) is not int:
+        raise GvError(f"exponent must be an int, not {k!r}")
+
+
+def _poly_diff(f: MultiPoly, v: int) -> MultiPoly:
+    """The partial derivative of f in the variable of index v."""
+    chart = f.chart
+    s, u = _var(chart.dim, v)
+    return _reduced(chart, _diff_terms(f._ints, s, u, chart.characteristic), f._den)
+
+
 def _is_one(f: MultiPoly) -> bool:
-    return f._den == 1 and len(f._ints) == 1 and f._ints.get(0) == 1
+    return f._den == 1 and f._ints == _UNIT
 
 
 def _reduced(chart: Chart, ints: dict, den: int) -> MultiPoly:
@@ -635,14 +644,14 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
     if f.is_zero() or f.is_constant():
         return []
     p = chart.characteristic
-    if p and all(f.diff(v).is_zero() for v in range(chart.dim)):
+    if p and all(_poly_diff(f, v).is_zero() for v in range(chart.dim)):
         # every exponent, so every field of every key, is divisible by p
         root = MultiPoly._raw(chart, {e // p: c for e, c in f._ints.items()})
         return [(g, m * p) for g, m in squarefree_decomposition(root)]
     f = f.monic()
     sieve = f
     for v in range(chart.dim):
-        dv = f.diff(v)
+        dv = _poly_diff(f, v)
         if not dv.is_zero():
             sieve = poly_gcd(sieve, dv)
         if sieve.is_constant():
@@ -739,7 +748,11 @@ class RatFn:
         return None
 
     def __add__(self, other) -> "RatFn":
-        if type(other) is not RatFn and isinstance(other, (int, Fraction)):
+        if type(other) is RatFn:
+            if self.den._ints == _UNIT and other.den._ints == _UNIT:
+                # polynomials add as polynomials (MultiPoly checks the charts)
+                return _over_one(self.num + other.num, self.den)
+        elif isinstance(other, (int, Fraction)):
             # gcd(num + c*den, den) = gcd(num, den) = 1: already reduced
             return RatFn._raw(self.num + self.den * other, self.den)
         o = self._coerce_other(other)
@@ -783,7 +796,10 @@ class RatFn:
         return (-self) + other
 
     def __mul__(self, other) -> "RatFn":
-        if type(other) is not RatFn and isinstance(other, (int, Fraction)):
+        if type(other) is RatFn:
+            if self.den._ints == _UNIT and other.den._ints == _UNIT:
+                return _over_one(self.num * other.num, self.den)
+        elif isinstance(other, (int, Fraction)):
             # a zero scalar, or one that vanishes mod p, gives the zero function
             return RatFn._raw(self.num * other, self.den)
         o = self._coerce_other(other)
@@ -818,6 +834,7 @@ class RatFn:
         return o / self
 
     def __pow__(self, k: int) -> "RatFn":
+        _require_exponent(k)
         if k < 0:
             return self.inv() ** (-k)
         if k == 0:
@@ -836,14 +853,15 @@ class RatFn:
         (P_v h - P k) / (g h^2).  A prime factor of h divides Q but neither P
         nor k, so the numerator is coprime to h and only g is left to cancel.
         """
-        if isinstance(v, str):
-            v = self.chart.index(v)
+        v = _variable_index(self.chart, v)
         n, d = self.num, self.den
-        dv = d.diff(v)
+        if d._ints == _UNIT:
+            return _over_one(_poly_diff(n, v), d)
+        dv = _poly_diff(d, v)
         if dv.is_zero():
-            return RatFn(n.diff(v), d)
+            return RatFn(_poly_diff(n, v), d)
         g, h, k = _cofactors(d, dv)
-        num = n.diff(v) * h - n * k
+        num = _poly_diff(n, v) * h - n * k
         if not (num.is_zero() or g.is_constant()):
             _, num, g = _cofactors(num, g)
         return RatFn._raw(num, g * h * h)
@@ -864,6 +882,14 @@ class RatFn:
 
 
 _set_num, _set_rf_den = (RatFn.__dict__[n].__set__ for n in RatFn.__slots__)
+
+
+def _over_one(num: MultiPoly, one: MultiPoly) -> RatFn:
+    """The rational function num/1, with `one` the polynomial 1 on num's chart."""
+    out = _new(RatFn)
+    _set_num(out, num)
+    _set_rf_den(out, one)
+    return out
 
 
 def rf_normalize(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:

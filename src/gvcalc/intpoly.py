@@ -104,6 +104,26 @@ def _mul_terms(a: dict, b: dict, p: int, out: dict | None = None) -> dict:
     return out
 
 
+def _diff_terms(a: dict, s: int, u: int, p: int, k: int = 1, out: dict | None = None) -> dict:
+    """Add k times the partial derivative of the term dict a in the variable
+    with key u and field offset s into out (a new dict by default)."""
+    out = {} if out is None else out
+    get = out.get
+    for e, c in a.items():
+        m = e >> s & MASK
+        if m:
+            # one degree less in the variable and in total
+            e -= u
+            t = get(e, 0) + c * m * k
+            if p:
+                t %= p
+            if t:
+                out[e] = t
+            elif e in out:
+                del out[e]
+    return out
+
+
 def _coeffs(terms: dict, s: int, u: int) -> dict[int, dict]:
     """Split by the exponent of the variable with key u and field offset s:
     k -> coefficient of its k-th power, with that exponent zero."""

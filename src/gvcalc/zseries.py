@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import ChartMismatch, GvError, VanishingLeadCoefficient, ZeroDenominator
 from .field import Chart, MultiPoly, RatFn, _drop_variable, as_ratfn
-from .exterior import DiffForm, ext_d, wedge
+from .exterior import DiffForm, _PolySum, _polynomial, ext_d, wedge
 
 
 class FormalOmega:
@@ -98,16 +98,27 @@ def structure_defect(om: FormalOmega, k: int) -> DiffForm:
         d w_k - sum_{0<=j<l, j+l=k+1} (C(k, j) - C(k, j-1)) w_j ^ w_l,
 
     with C(k, -1) = 0: a 2-form on the base chart.  The extended form is
-    integrable exactly when every defect vanishes.
+    integrable exactly when every defect vanishes.  When every coefficient
+    involved is a polynomial, the defect is one accumulation: d w_k and each
+    weighted wedge are summed in place into one `exterior._PolySum`, with no
+    form built in between.
     """
     if not isinstance(k, int) or k < 0:
         raise GvError("defect index must be a nonnegative integer")
-    out = ext_d(om.omega(k))
+    wk = om.omega(k)
+    terms = []
     for j in range((k + 2) // 2):
         wj, wl = om.omega(j), om.omega(k + 1 - j)
-        if wj.is_zero() or wl.is_zero():
-            continue
-        coeff = comb(k, j) - (comb(k, j - 1) if j else 0)
+        if not (wj.is_zero() or wl.is_zero()):
+            terms.append((wj, wl, comb(k, j) - (comb(k, j - 1) if j else 0)))
+    if _polynomial(wk) and all(_polynomial(w) for wj, wl, _ in terms for w in (wj, wl)):
+        acc = _PolySum(om.chart)
+        acc.add_d(wk, 1)
+        for wj, wl, coeff in terms:
+            acc.add_wedge(wj, wl, -coeff)
+        return acc.form(2)
+    out = ext_d(wk)
+    for wj, wl, coeff in terms:
         out = out - wedge(wj, wl) * coeff
     return out
 

@@ -13,7 +13,9 @@ fractions (sign(I, K) is the signature of the shuffle that sorts I + K, and
 pos(j, K + j) the position of j in the sorted K + j), over Q and F_5 on
 charts of 2 and 3 variables.  Every stored coefficient must be nonzero.
 d o d = 0, the Leibniz rule and the naturality of `pullback` are checked on
-the same forms.  On four variables with rational coefficients, Omega ^ d Omega
+the same forms.  Over Q and F_2 .. F_7, `wedge` and `ext_d` of polynomial
+forms, which sum in place on term dicts, are compared with the same
+operations on the forms times a fraction, which sum `RatFn` pairs.  On four variables with rational coefficients, Omega ^ d Omega
 of a triple extended to a 1-form is compared with sympy's rational function
 field.
 """
@@ -61,7 +63,7 @@ def polys(chart: Chart, max_terms: int = 3, max_exp: int = 2):
     if p:
         coeff = st.integers(min_value=0, max_value=p - 1)
     else:
-        coeff = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+        coeff = st.fractions(min_value=-3, max_value=3, max_denominator=6)
     exps = st.tuples(*[st.integers(0, max_exp)] * chart.dim)
     return st.dictionaries(exps, coeff, max_size=max_terms).map(
         lambda terms: MultiPoly(chart, terms)
@@ -102,12 +104,12 @@ def vector_fields(chart: Chart):
     )
 
 
-def form_pairs(chart: Chart):
+def form_pairs(chart: Chart, coeffs=None):
     """Pairs (a, b) with deg a + deg b <= dim, so that a ^ b can be nonzero."""
     return st.integers(0, chart.dim).flatmap(
         lambda da: st.tuples(
-            forms(chart, da),
-            st.integers(0, chart.dim - da).flatmap(lambda db: forms(chart, db)),
+            forms(chart, da, coeffs),
+            st.integers(0, chart.dim - da).flatmap(lambda db: forms(chart, db, coeffs)),
         )
     )
 
@@ -293,6 +295,36 @@ def test_pullback_commutes_with_d(chart):
     @given(maps.map(lambda ps: [RatFn.from_poly(q) for q in ps]), any_form(chart, coeffs))
     def check(phi, a):
         assert pullback(phi, ext_d(a)) == ext_d(pullback(phi, a))
+
+    check()
+
+
+PRIME_CHARTS = [Chart(names, p) for p in (0, 2, 3, 5, 7) for names in (("x", "y"), ("x", "y", "w"))]
+
+
+@pytest.mark.parametrize("chart", PRIME_CHARTS, ids=chart_id)
+def test_polynomial_sums_agree_with_the_rational_path(chart):
+    """`wedge` and `ext_d` of polynomial forms are summed in place; scaled by
+    the fraction f = 1/(x + 2), the same products and derivatives go through
+    `RatFn` pairs:
+
+        (a ^ b) f = (a f) ^ b,    (b ^ a) f = b ^ (a f),    d a = (d(a f) - df ^ a) / f.
+
+    Over Q the coefficients carry integer denominators up to 6, so a sum
+    meets terms over different denominators.
+    """
+    f = 1 / (chart.var("x") + 2)
+    df = ext_d(f)
+    pairs = form_pairs(chart, polys(chart).map(RatFn.from_poly))
+
+    @settings(SETTINGS, max_examples=40)
+    @given(pairs)
+    def check(pair):
+        a, b = pair
+        af = a * f
+        assert wedge(a, b) * f == wedge(af, b)
+        assert wedge(b, a) * f == wedge(b, af)
+        assert ext_d(a) == (ext_d(af) - wedge(df, a)) / f
 
     check()
 

@@ -55,7 +55,7 @@ def polys(chart: Chart, max_terms: int = 3, max_exp: int = 2, min_terms: int = 0
     if p:
         coeff = st.integers(min_value=0, max_value=p - 1)
     else:
-        coeff = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+        coeff = st.fractions(min_value=-3, max_value=3, max_denominator=6)
     exps = st.tuples(*[st.integers(0, max_exp)] * chart.dim)
     return st.dictionaries(exps, coeff, min_size=min_terms, max_size=max_terms).map(
         lambda terms: MultiPoly(chart, terms)
