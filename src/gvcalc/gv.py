@@ -389,7 +389,7 @@ def gv_from_field(
     """
     if w.degree != 1:
         raise GvError("the defining form must be a 1-form")
-    if not isinstance(upto, int) or upto < 0:
+    if type(upto) is not int or upto < 0:
         raise GvError("the number of derivatives must be a nonnegative integer")
     if not is_integrable(w):
         raise NotIntegrable("w /\\ dw is nonzero")
@@ -416,6 +416,7 @@ def gv_verify(s: GVSequence) -> DefectReport:
     an undeclared prefix only determines the relations up to one below the
     stored order, so exactly those are checked.
     """
+    _require_sequence(s)
     if s.is_finite:
         orders = tuple(_defect_orders(s))
     else:
@@ -442,6 +443,7 @@ def gv_rescale(s: GVSequence, f) -> GVSequence:
     which defines the same foliation.  Finite declarations are preserved
     (the tail is re-trimmed, since df/f may create or destroy an entry).
     """
+    _require_sequence(s)
     chart = s.chart
     f = as_ratfn(chart, f)
     if f.is_zero():
@@ -478,9 +480,10 @@ def gv_shift(s: GVSequence, f, order: int = 1) -> GVSequence:
     for nonzero f: the substituted sequence is generally infinite, and only
     the stored prefix is returned.
     """
+    _require_sequence(s)
     chart = s.chart
     f = as_ratfn(chart, f)
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise GvError("shift order must be an integer of at least 1")
     if f.is_zero():
         return s

@@ -122,6 +122,7 @@ def triple_verify(t: Triple) -> TripleReport:
     checked as [w0, w1, 2 w2], whose order-2 defect is twice its own, so
     that one is halved.  The report lists one defect 2-form per relation.
     """
+    _require_triple(t)
     om = FormalOmega(t.chart, t.converted(HALF).forms)
     d0, d1, d2 = (structure_defect(om, k) for k in range(3))
     if t.convention == FULL:
@@ -157,6 +158,11 @@ def classify_structure(
     return "none"
 
 
+def _require_triple(t) -> None:
+    if not isinstance(t, Triple):
+        raise GvError(f"expected a Triple, not {t!r}")
+
+
 def _gauge_check(t: Triple, stage: str) -> None:
     if not triple_verify(t).ok:
         raise GaugeBreaksRelations(
@@ -178,6 +184,7 @@ def triple_gauge_regular(t: Triple, f0, f1) -> Triple:
     a mis-tagged triple would silently rescale the wrong structure), and
     the output is re-verified; both failures raise GaugeBreaksRelations.
     """
+    _require_triple(t)
     chart = t.chart
     f0 = as_ratfn(chart, f0)
     f1 = as_ratfn(chart, f1)
@@ -202,6 +209,9 @@ def triple_gauge(t: Triple, kind: str, fn) -> Triple:
 
         (w0,  w1 + 2 g w0,  w2 + g w1 + g^2 w0 - dg).
     """
+    _require_triple(t)
+    if not isinstance(kind, str):
+        raise GvError(f"a gauge move is 'F' or 'G', not {kind!r}")
     kind = kind.upper()
     if kind == "F":
         f = as_ratfn(t.chart, fn)
@@ -240,6 +250,8 @@ def riccati_triple(
     When gamma = 0 the pair (w0, w1) is already a transversely affine
     certificate.
     """
+    if not isinstance(alpha, DiffForm):
+        raise GvError("alpha must be a 1-form")
     chart = alpha.chart
     for w, slot in ((alpha, "alpha"), (beta, "beta"), (gamma, "gamma")):
         _check_form(w, chart, slot)

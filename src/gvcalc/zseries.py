@@ -8,19 +8,22 @@ extended 1-form
 on the chart with one extra variable z.  Integrability of the extended form
 is equivalent to the vanishing of a sequence of 2-form defects on the base
 chart, one per power of z.  Reparametrizations z = f_0 + f_1 t + f_2 t^2 + ...
-with invertible linear part act on such sequences; the action is computed by
-exact truncated power series division.
+with invertible linear part act on such sequences.  The action divides
+truncated scalar power series first, q_k = z^k / (dz/dt) for each k, and
+touches forms only at the end: each output coefficient is one sum of the
+w_k and the d f_i, weighted by those scalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from collections.abc import Iterable
 from typing import Sequence
 
 from .errors import ChartMismatch, GvError, VanishingLeadCoefficient, ZeroDenominator
-from .field import Chart, MultiPoly, RatFn, _drop_variable, as_ratfn
-from .exterior import DiffForm, _PolySum, _polynomial, ext_d, wedge
+from .field import Chart, MultiPoly, RatFn, _UNIT, _drop_variable, as_ratfn
+from .exterior import DiffForm, _collect, _PolySum, _polynomial, ext_d, wedge
 
 
 class FormalOmega:
@@ -80,6 +83,11 @@ class FormalOmega:
         return f"{type(self).__name__}({self})"
 
 
+def _require_series(om) -> None:
+    if not isinstance(om, FormalOmega):
+        raise GvError(f"expected a FormalOmega, not {om!r}")
+
+
 def _inv_factorial(chart: Chart, k: int) -> Fraction:
     p = chart.characteristic
     if p and k >= p:
@@ -103,7 +111,8 @@ def structure_defect(om: FormalOmega, k: int) -> DiffForm:
     weighted wedge are summed in place into one `exterior._PolySum`, with no
     form built in between.
     """
-    if not isinstance(k, int) or k < 0:
+    _require_series(om)
+    if type(k) is not int or k < 0:
         raise GvError("defect index must be a nonnegative integer")
     wk = om.omega(k)
     terms = []
@@ -131,16 +140,19 @@ def _defect_orders(om: FormalOmega) -> range:
 
 def structure_defects(om: FormalOmega) -> list[DiffForm]:
     """All possibly nonzero defects, indices 0 .. max(2N-1, 0)."""
+    _require_series(om)
     return [structure_defect(om, k) for k in _defect_orders(om)]
 
 
 def is_formal_integrable(om: FormalOmega) -> bool:
     """Whether every integrability defect of the sequence vanishes."""
+    _require_series(om)
     return all(structure_defect(om, k).is_zero() for k in _defect_orders(om))
 
 
 def to_extended_form(om: FormalOmega, zname: str = "z") -> DiffForm:
     """The 1-form dz + sum z^k/k! w_k on the chart extended by z."""
+    _require_series(om)
     if zname in om.chart.variables:
         raise GvError(f"variable {zname!r} already on the chart")
     ext = om.chart.extend(zname)
@@ -212,6 +224,10 @@ class Substitution:
     __slots__ = ("chart", "coeffs")
 
     def __init__(self, chart: Chart, coeffs: Sequence) -> None:
+        if not isinstance(chart, Chart):
+            raise GvError(f"a substitution needs a Chart, not {chart!r}")
+        if not isinstance(coeffs, Iterable):
+            raise GvError(f"substitution coefficients must be a sequence, not {coeffs!r}")
         fs = [as_ratfn(chart, c) for c in coeffs]
         if len(fs) < 2:
             raise GvError("a substitution needs at least a linear coefficient")
@@ -233,7 +249,9 @@ class Substitution:
     @classmethod
     def normalized(cls, chart: Chart, tail: Sequence) -> "Substitution":
         """Build from (f_1, f_2, ...) with f_0 = 0."""
-        return cls(chart, [chart.zero(), *tail])
+        if not isinstance(tail, Iterable):
+            raise GvError(f"substitution coefficients must be a sequence, not {tail!r}")
+        return cls(chart, [0, *tail])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Substitution):
@@ -247,34 +265,25 @@ class Substitution:
 
 def compose_substitutions(s: Substitution, r: Substitution) -> Substitution:
     """The substitution z = s(r(u)), computed exactly."""
+    if not (isinstance(s, Substitution) and isinstance(r, Substitution)):
+        raise GvError(f"expected two substitutions, not {s!r} and {r!r}")
     if s.chart != r.chart:
         raise ChartMismatch("substitutions on different charts")
-    chart = s.chart
-    # exact polynomial composition in the formal variable
-    result = [chart.zero()]
-    power = [chart.one()]
+    # exact polynomial composition in the formal variable: sum f_k r^k
+    result = [s.chart.zero()] * ((len(s.coeffs) - 1) * (len(r.coeffs) - 1) + 1)
+    power = [s.chart.one()]
     for k, fk in enumerate(s.coeffs):
         if k > 0:
-            upto = len(power) + len(r.coeffs) - 2  # the untruncated product
-            power = _convolve(power, r.coeffs, upto, chart.zero())
-        if fk.is_zero():
-            continue
-        for i, c in enumerate(power):
-            while len(result) <= i:
-                result.append(chart.zero())
-            result[i] = result[i] + fk * c
-    while len(result) < 2:
-        result.append(chart.zero())
-    return Substitution(chart, result)
+            power = _convolve(power, r.coeffs, len(power) + len(r.coeffs) - 2)
+        if not fk.is_zero():
+            for i, c in enumerate(power):
+                result[i] = result[i] + fk * c
+    return Substitution(s.chart, result)
 
 
-def _convolve(a: list, b: list[RatFn], upto: int, zero) -> list:
-    """The product of two series in t, truncated after t^upto.
-
-    The left entries may be rational functions or forms; `zero` is the zero
-    of their kind.
-    """
-    out = [zero] * (upto + 1)
+def _convolve(a: Sequence[RatFn], b: Sequence[RatFn], upto: int) -> list[RatFn]:
+    """The product of two series in t, truncated after t^upto."""
+    out = [a[0].chart.zero()] * (upto + 1)
     for i, x in enumerate(a):
         if i > upto or x.is_zero():
             continue
@@ -287,6 +296,10 @@ def _convolve(a: list, b: list[RatFn], upto: int, zero) -> list:
 
 
 def _series_inv(a: list[RatFn], upto: int) -> list[RatFn]:
+    """The inverse of a series in t with a nonzero constant term, truncated after t^upto.
+
+    Entry j solves sum_{i<=j} a_i out_{j-i} = 0 for out_j, given out_0 = 1/a_0.
+    """
     chart = a[0].chart
     if a[0].is_zero():
         raise ZeroDenominator("series with zero constant term has no inverse")
@@ -301,50 +314,94 @@ def _series_inv(a: list[RatFn], upto: int) -> list[RatFn]:
     return out
 
 
+def _column(chart: Chart, terms: list, polynomial: bool) -> DiffForm:
+    """The 1-form sum of weight * s * w over (s, w, int weight), s and w nonzero.
+
+    `polynomial` says every coefficient of every w has denominator 1.  If each
+    s has too, the products are summed in place in one `_PolySum`, each s as
+    a degree-0 form; otherwise the column collects `RatFn` products.
+    """
+    if polynomial and all(s.den._ints == _UNIT for s, _, _ in terms):
+        acc = _PolySum(chart)
+        for s, w, weight in terms:
+            acc.add_wedge(DiffForm._raw(chart, 0, {(): s}), w, weight)
+        return acc.form(1)
+    pairs = []
+    for s, w, weight in terms:
+        s = s * weight if weight != 1 else s
+        pairs.extend((idx, c * s) for idx, c in w.terms.items())
+    return _collect(chart, 1, pairs)
+
+
 def substitute_series(
     om: FormalOmega, sub: Substitution, upto: int | None = None
 ) -> FormalOmega:
     """Apply the reparametrization z = sum f_k t^k to the sequence.
 
-    Writing the extended form in the new parameter and dividing by the dt
-    coefficient gives dt + sum t^j/j! w~_j; the result collects w~_0 .. w~_upto.
-    The default keeps two indices beyond the input length.
+    In the new parameter the extended form is A dt + sum_j t^j (d f_j +
+    sum_k z^k[j]/k! w_k), with A = dz/dt; dividing by A gives
+    dt + sum t^j/j! w~_j, and the result collects w~_0 .. w~_upto.  The
+    scalar series are divided first: q_0 = 1/A and q_k = z q_{k-1} = z^k/A,
+    truncated after t^upto.  Then each column is one sum,
+
+        w~_j = sum_k (j!/k!) q_k[j] w_k + sum_{i<=j} j! (1/A)[j-i] d f_i,
+
+    added in place when every scalar and form coefficient is a polynomial.
+    When the numerator h of A_0 = f_1 is not a constant, t^j of every series
+    is scaled by h^(j+1) (q_k[j] h^(j+1) has no h in its denominator), and
+    each column is divided by h^(j+1) once.  The default keeps two indices
+    beyond the input length.
     """
+    _require_series(om)
+    if not isinstance(sub, Substitution):
+        raise GvError(f"expected a Substitution, not {sub!r}")
     if om.chart != sub.chart:
         raise ChartMismatch("series and substitution on different charts")
     chart = om.chart
     if upto is None:
         upto = om.last_index + 2
-    if not isinstance(upto, int) or upto < 0:
+    if type(upto) is not int or upto < 0:
         raise GvError("truncation order must be a nonnegative integer")
     p = chart.characteristic
     if p and (upto >= p or om.last_index >= p):
         raise GvError(
             f"factorial weights need all indices below the characteristic {p}"
         )
-    fs = list(sub.coeffs)
-    # dt coefficient A(t) = sum (k+1) f_{k+1} t^k
+    fs = zs = sub.coeffs
     A = [fs[k + 1] * (k + 1) for k in range(len(fs) - 1)]
-    if len(A) <= upto:
-        A = A + [chart.zero()] * (upto + 1 - len(A))
-    # base differential part and pulled-back coefficients
-    B: list[DiffForm] = [DiffForm.zero(chart, 1) for _ in range(upto + 1)]
-    for k, fk in enumerate(fs):
-        if k <= upto and not fk.is_zero():
-            dfk = ext_d(fk)
-            if not dfk.is_zero():
-                B[k] = B[k] + dfk
-    zpow: list[RatFn] = [chart.one()] + [chart.zero()] * upto
-    for k, wk in enumerate(om.coeffs):
-        if k > 0:
-            zpow = _convolve(zpow, fs, upto, chart.zero())
-        if wk.is_zero():
-            continue
-        scale = _inv_factorial(chart, k)
-        for j in range(upto + 1):
-            # scale = 1/k! with k < p is a unit, so a nonzero zpow[j] stays nonzero
-            if not zpow[j].is_zero():
-                B[j] = B[j] + wk * (zpow[j] * scale)
-    C = _convolve(B, _series_inv(A, upto), upto, DiffForm.zero(chart, 1))
-    out = [C[j] * factorial(j) for j in range(upto + 1)]
+    dfs = []
+    for i, f in enumerate(fs[: upto + 1]):
+        if not f.is_zero():
+            d = ext_d(f)
+            if not d.is_zero():
+                dfs.append((i, d))
+    h = A[0].num
+    if not h.is_constant():
+        hpow = [chart.one(), RatFn.from_poly(h)]
+        while len(hpow) < max(len(fs), upto + 2):
+            hpow.append(hpow[-1] * hpow[1])
+        A = [A[0] / hpow[1]] + [a * hpow[i] for i, a in enumerate(A[1:])]
+        zs = [f * hpow[m] for m, f in enumerate(fs)]
+        dfs = [(i, d * hpow[i]) for i, d in dfs]
+    inv = _series_inv(A, upto)
+    qs, q, power = [], inv, 0  # (k, w_k, q_k) for every nonzero w_k
+    for k, w in enumerate(om.coeffs):
+        if not w.is_zero():
+            for _ in range(k - power):
+                q = _convolve(q, zs, upto)
+            qs.append((k, w, q))
+            power = k
+    polynomial = all(_polynomial(w) for _, w, _ in qs) and all(_polynomial(d) for _, d in dfs)
+    out = []
+    for j in range(upto + 1):
+        fj = factorial(j)
+        # j!/k! for k > j is a unit below the characteristic
+        terms = [
+            (q[j], w, fj // factorial(k)) if k <= j else (q[j] * Fraction(fj, factorial(k)), w, 1)
+            for k, w, q in qs
+            if not q[j].is_zero()
+        ]
+        terms += [(inv[j - i], d, fj) for i, d in dfs if i <= j and not inv[j - i].is_zero()]
+        col = _column(chart, terms, polynomial)
+        out.append(col if zs is fs else col * hpow[j + 1].inv())
     return FormalOmega(chart, out)

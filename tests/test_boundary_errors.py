@@ -1,8 +1,9 @@
 """Bad arguments at the public entry points raise typed errors.
 
 Each call below once escaped as a TypeError, AttributeError or ValueError
-from deep inside the library, or (`diff(-1)`) returned a wrong answer;
-every one must now raise a `GvError` subclass.
+from deep inside the library, or (`diff(-1)`, and a bool taken as an order
+or index) returned a wrong answer; every one must now raise a `GvError`
+subclass.
 """
 
 from __future__ import annotations
@@ -21,13 +22,26 @@ from gvcalc import (
     exact_div,
     ext_d,
     finite_gv_classify,
+    FormalOmega,
+    Substitution,
+    Triple,
     form_apply,
+    gv_from_field,
     gv_invariant,
+    gv_rescale,
+    gv_shift,
+    gv_verify,
     poly_gcd,
     poly_str,
     pullback,
     rf_normalize,
+    riccati_triple,
     squarefree_decomposition,
+    structure_defect,
+    structure_defects,
+    substitute_series,
+    suspension_form,
+    triple_gauge,
     vf_pth_power,
     wedge,
 )
@@ -38,6 +52,11 @@ X = MultiPoly.var(Q, "x")
 XF = Q.var("x")
 DX = DiffForm.coordinate(Q, "x")
 FIELD3 = VectorField(F3, [F3.var("x"), F3.one()])
+OM = FormalOmega(Q, [DX])
+SUB = Substitution.normalized(Q, [1])
+SEQ = GVSequence([DX])
+U = Q.var("y")
+TRIPLE = Triple(DX, DiffForm.zero(Q, 1), DiffForm.zero(Q, 1))
 
 BAD_CALLS = {
     "RatFn(1, 2)": lambda: RatFn(1, 2),
@@ -67,6 +86,24 @@ BAD_CALLS = {
     "MultiPoly x.diff(5)": lambda: X.diff(5),
     "x.diff(-1)": lambda: XF.diff(-1),
     "x.diff(5)": lambda: XF.diff(5),
+    "substitute_series(None, sub)": lambda: substitute_series(None, SUB),
+    "substitute_series(om, None)": lambda: substitute_series(OM, None),
+    "substitute_series(om, sub, True)": lambda: substitute_series(OM, SUB, True),
+    "Substitution(None, [0, 1])": lambda: Substitution(None, [0, 1]),
+    "Substitution(chart, None)": lambda: Substitution(Q, None),
+    "Substitution.normalized(chart, 5)": lambda: Substitution.normalized(Q, 5),
+    "structure_defects(None)": lambda: structure_defects(None),
+    "structure_defect(None, 0)": lambda: structure_defect(None, 0),
+    "structure_defect(om, True)": lambda: structure_defect(OM, True),
+    "gv_verify(None)": lambda: gv_verify(None),
+    "gv_shift(None, u)": lambda: gv_shift(None, U),
+    "gv_shift(s, u, True)": lambda: gv_shift(SEQ, U, True),
+    "gv_rescale(None, u)": lambda: gv_rescale(None, U),
+    "riccati_triple(None, None, None)": lambda: riccati_triple(None, None, None),
+    "suspension_form(None)": lambda: suspension_form(None),
+    "triple_gauge(None, 'G', 1)": lambda: triple_gauge(None, "G", 1),
+    "triple_gauge(t, None, 1)": lambda: triple_gauge(TRIPLE, None, 1),
+    "gv_from_field(dx, X, True)": lambda: gv_from_field(DX, VectorField.coordinate(Q, "x"), True),
 }
 
 

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_exterior_oracles import chart_id, forms, polys
 
-from gvcalc import Chart, GvError, VanishingLeadCoefficient
+from gvcalc import Chart, GvError, RatFn, VanishingLeadCoefficient
 from gvcalc.exterior import DiffForm, ext_d, is_integrable, wedge
 from gvcalc.zseries import (
     FormalOmega,
@@ -199,3 +203,104 @@ class TestSubstitution:
         s = Substitution.normalized(c, [c.one()])
         with pytest.raises(GvError):
             substitute_series(om, s)
+
+
+# -- the route before scalar division came first, kept as an oracle -----------
+
+
+def convolve_reference(a, b, upto, zero):
+    """The product of a series of forms or functions with a series of functions."""
+    out = [zero] * (upto + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j <= upto:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def substitute_series_reference(om, sub, upto):
+    """B_j = d f_j + sum_k z^k[j]/k! w_k for each power of t, then B times 1/A.
+
+    A = dz/dt; its inverse is solved term by term, and out_j = j! (B / A)_j.
+    """
+    chart = om.chart
+    fs = list(sub.coeffs)
+    A = [fs[k + 1] * (k + 1) for k in range(len(fs) - 1)]
+    A += [chart.zero()] * (upto + 1 - len(A))
+    inv = [A[0].inv()]
+    for j in range(1, upto + 1):
+        acc = sum((A[i] * inv[j - i] for i in range(1, j + 1)), chart.zero())
+        inv.append(-acc * inv[0])
+    zero = DiffForm.zero(chart, 1)
+    B = [ext_d(fs[j]) if j < len(fs) else zero for j in range(upto + 1)]
+    zpow = [chart.one()] + [chart.zero()] * upto
+    for k, wk in enumerate(om.coeffs):
+        if k > 0:
+            zpow = convolve_reference(zpow, fs, upto, chart.zero())
+        for j in range(upto + 1):
+            B[j] = B[j] + wk * (zpow[j] * Fraction(1, factorial(k)))
+    C = convolve_reference(B, inv, upto, zero)
+    return [C[j] * factorial(j) for j in range(upto + 1)]
+
+
+ORACLE_CHARTS = [Chart(("x", "y")), Chart(("x", "y"), 7)]
+
+
+def series_inputs(chart, polynomial, basepoint_moves):
+    """(forms, substitution, upto) with upto < 7, below the characteristic.
+
+    f_1 is a constant or a linear polynomial, whose powers then scale the
+    series.  Polynomial inputs have polynomial forms and f_k, so every
+    (scaled) scalar is a polynomial and each column is summed in place.  In
+    fractional inputs w_0 has a fractional coefficient, so every column
+    collects `RatFn` products; the other forms and f_k may be fractions too.
+    """
+    x, y = chart.var("x"), chart.var("y")
+    coeffs = first = polys(chart, max_terms=2).map(RatFn.from_poly)
+    if not polynomial:
+        dens = st.sampled_from([chart.one(), x + 1, y - 2, x * y + 3])
+        coeffs = st.builds(lambda n, d: n / d, coeffs, dens)
+        first = coeffs.filter(lambda f: not f.den.is_constant())
+    units = st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-5, 3)])
+    lead = st.one_of(
+        units.map(chart.const),
+        st.builds(lambda a, b, c: x * a + y * b + c, units, st.integers(-2, 2), units),
+    )
+    if basepoint_moves:
+        base = coeffs.filter(lambda f: not f.is_zero())
+    else:
+        base = st.just(chart.zero())
+    subs = st.builds(
+        lambda f0, f1, tail: Substitution(chart, [f0, f1, *tail]),
+        base,
+        lead,
+        st.lists(coeffs, max_size=2),
+    )
+    ws = st.builds(
+        lambda w0, rest: [w0, *rest],
+        forms(chart, 1, first),
+        st.lists(forms(chart, 1, coeffs), max_size=3),
+    )
+    return st.tuples(ws, subs, st.integers(0, 5))
+
+
+@pytest.mark.parametrize("basepoint_moves", [False, True], ids=["f0-zero", "f0-nonzero"])
+@pytest.mark.parametrize("polynomial", [True, False], ids=["polynomial", "fractional"])
+@pytest.mark.parametrize("chart", ORACLE_CHARTS, ids=chart_id)
+def test_substitute_series_matches_the_form_convolution(chart, polynomial, basepoint_moves):
+    """Dividing the scalar series first gives every coefficient of the old route.
+
+    With f_0 != 0, z^k has terms below t^k, so column j takes w_k for k > j
+    with the fractional weight j!/k!.
+    """
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(series_inputs(chart, polynomial, basepoint_moves))
+    def check(case):
+        ws, sub, upto = case
+        om = FormalOmega(chart, ws)
+        ours = substitute_series(om, sub, upto)
+        expected = substitute_series_reference(om, sub, upto)
+        assert [str(w) for w in ours.coeffs] == [str(w) for w in expected]
+
+    check()
