@@ -389,7 +389,7 @@ def gv_from_field(
     """
     if w.degree != 1:
         raise GvError("the defining form must be a 1-form")
-    if type(upto) is not int or upto < 0:
+    if isinstance(upto, bool) or not isinstance(upto, int) or upto < 0:
         raise GvError("the number of derivatives must be a nonnegative integer")
     if not is_integrable(w):
         raise NotIntegrable("w /\\ dw is nonzero")
@@ -483,7 +483,7 @@ def gv_shift(s: GVSequence, f, order: int = 1) -> GVSequence:
     _require_sequence(s)
     chart = s.chart
     f = as_ratfn(chart, f)
-    if type(order) is not int or order < 1:
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise GvError("shift order must be an integer of at least 1")
     if f.is_zero():
         return s

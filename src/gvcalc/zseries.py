@@ -112,7 +112,7 @@ def structure_defect(om: FormalOmega, k: int) -> DiffForm:
     form built in between.
     """
     _require_series(om)
-    if type(k) is not int or k < 0:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise GvError("defect index must be a nonnegative integer")
     wk = om.omega(k)
     terms = []
@@ -269,16 +269,23 @@ def compose_substitutions(s: Substitution, r: Substitution) -> Substitution:
         raise GvError(f"expected two substitutions, not {s!r} and {r!r}")
     if s.chart != r.chart:
         raise ChartMismatch("substitutions on different charts")
-    # exact polynomial composition in the formal variable: sum f_k r^k
-    result = [s.chart.zero()] * ((len(s.coeffs) - 1) * (len(r.coeffs) - 1) + 1)
-    power = [s.chart.one()]
+    chart = s.chart
+    # exact polynomial composition in the formal variable
+    result = [chart.zero()]
+    power = [chart.one()]
     for k, fk in enumerate(s.coeffs):
         if k > 0:
-            power = _convolve(power, r.coeffs, len(power) + len(r.coeffs) - 2)
-        if not fk.is_zero():
-            for i, c in enumerate(power):
-                result[i] = result[i] + fk * c
-    return Substitution(s.chart, result)
+            upto = len(power) + len(r.coeffs) - 2  # the untruncated product
+            power = _convolve(power, r.coeffs, upto)
+        if fk.is_zero():
+            continue
+        for i, c in enumerate(power):
+            while len(result) <= i:
+                result.append(chart.zero())
+            result[i] = result[i] + fk * c
+    while len(result) < 2:
+        result.append(chart.zero())
+    return Substitution(chart, result)
 
 
 def _convolve(a: Sequence[RatFn], b: Sequence[RatFn], upto: int) -> list[RatFn]:
@@ -347,10 +354,7 @@ def substitute_series(
         w~_j = sum_k (j!/k!) q_k[j] w_k + sum_{i<=j} j! (1/A)[j-i] d f_i,
 
     added in place when every scalar and form coefficient is a polynomial.
-    When the numerator h of A_0 = f_1 is not a constant, t^j of every series
-    is scaled by h^(j+1) (q_k[j] h^(j+1) has no h in its denominator), and
-    each column is divided by h^(j+1) once.  The default keeps two indices
-    beyond the input length.
+    The default keeps two indices beyond the input length.
     """
     _require_series(om)
     if not isinstance(sub, Substitution):
@@ -360,37 +364,29 @@ def substitute_series(
     chart = om.chart
     if upto is None:
         upto = om.last_index + 2
-    if type(upto) is not int or upto < 0:
+    if isinstance(upto, bool) or not isinstance(upto, int) or upto < 0:
         raise GvError("truncation order must be a nonnegative integer")
     p = chart.characteristic
     if p and (upto >= p or om.last_index >= p):
         raise GvError(
             f"factorial weights need all indices below the characteristic {p}"
         )
-    fs = zs = sub.coeffs
+    fs = sub.coeffs
     A = [fs[k + 1] * (k + 1) for k in range(len(fs) - 1)]
+    inv = _series_inv(A, upto)
+    qs, q, power = [], inv, 0  # (k, w_k, q_k) for every nonzero w_k
+    for k, w in enumerate(om.coeffs):
+        if not w.is_zero():
+            for _ in range(k - power):
+                q = _convolve(q, fs, upto)
+            qs.append((k, w, q))
+            power = k
     dfs = []
     for i, f in enumerate(fs[: upto + 1]):
         if not f.is_zero():
             d = ext_d(f)
             if not d.is_zero():
                 dfs.append((i, d))
-    h = A[0].num
-    if not h.is_constant():
-        hpow = [chart.one(), RatFn.from_poly(h)]
-        while len(hpow) < max(len(fs), upto + 2):
-            hpow.append(hpow[-1] * hpow[1])
-        A = [A[0] / hpow[1]] + [a * hpow[i] for i, a in enumerate(A[1:])]
-        zs = [f * hpow[m] for m, f in enumerate(fs)]
-        dfs = [(i, d * hpow[i]) for i, d in dfs]
-    inv = _series_inv(A, upto)
-    qs, q, power = [], inv, 0  # (k, w_k, q_k) for every nonzero w_k
-    for k, w in enumerate(om.coeffs):
-        if not w.is_zero():
-            for _ in range(k - power):
-                q = _convolve(q, zs, upto)
-            qs.append((k, w, q))
-            power = k
     polynomial = all(_polynomial(w) for _, w, _ in qs) and all(_polynomial(d) for _, d in dfs)
     out = []
     for j in range(upto + 1):
@@ -402,6 +398,5 @@ def substitute_series(
             if not q[j].is_zero()
         ]
         terms += [(inv[j - i], d, fj) for i, d in dfs if i <= j and not inv[j - i].is_zero()]
-        col = _column(chart, terms, polynomial)
-        out.append(col if zs is fs else col * hpow[j + 1].inv())
+        out.append(_column(chart, terms, polynomial))
     return FormalOmega(chart, out)

@@ -8,6 +8,8 @@ subclass.
 
 from __future__ import annotations
 
+from enum import IntEnum
+
 import pytest
 
 from gvcalc import (
@@ -42,9 +44,12 @@ from gvcalc import (
     substitute_series,
     suspension_form,
     triple_gauge,
+    triple_gauge_regular,
+    triple_verify,
     vf_pth_power,
     wedge,
 )
+from gvcalc.zseries import compose_substitutions, is_formal_integrable, to_extended_form
 
 Q = Chart(("x", "y"))
 F3 = Chart(("x", "y"), 3)
@@ -95,6 +100,9 @@ BAD_CALLS = {
     "structure_defects(None)": lambda: structure_defects(None),
     "structure_defect(None, 0)": lambda: structure_defect(None, 0),
     "structure_defect(om, True)": lambda: structure_defect(OM, True),
+    "is_formal_integrable(None)": lambda: is_formal_integrable(None),
+    "to_extended_form(None)": lambda: to_extended_form(None),
+    "compose_substitutions(None, r)": lambda: compose_substitutions(None, SUB),
     "gv_verify(None)": lambda: gv_verify(None),
     "gv_shift(None, u)": lambda: gv_shift(None, U),
     "gv_shift(s, u, True)": lambda: gv_shift(SEQ, U, True),
@@ -103,6 +111,8 @@ BAD_CALLS = {
     "suspension_form(None)": lambda: suspension_form(None),
     "triple_gauge(None, 'G', 1)": lambda: triple_gauge(None, "G", 1),
     "triple_gauge(t, None, 1)": lambda: triple_gauge(TRIPLE, None, 1),
+    "triple_gauge_regular(None, 1, 0)": lambda: triple_gauge_regular(None, 1, 0),
+    "triple_verify(None)": lambda: triple_verify(None),
     "gv_from_field(dx, X, True)": lambda: gv_from_field(DX, VectorField.coordinate(Q, "x"), True),
 }
 
@@ -111,6 +121,17 @@ BAD_CALLS = {
 def test_bad_argument_raises_a_typed_error(call):
     with pytest.raises(GvError):
         call()
+
+
+def test_an_int_subclass_other_than_bool_is_an_order():
+    """Only bool is refused among the int subclasses."""
+
+    class Order(IntEnum):
+        TWO = 2
+
+    assert substitute_series(OM, SUB, Order.TWO).length == 3
+    assert structure_defect(OM, Order.TWO).is_zero()
+    assert gv_shift(SEQ, U, Order.TWO) == gv_shift(SEQ, U, 2)
 
 
 def test_a_negative_variable_index_is_not_a_variable():

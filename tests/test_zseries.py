@@ -249,11 +249,12 @@ ORACLE_CHARTS = [Chart(("x", "y")), Chart(("x", "y"), 7)]
 def series_inputs(chart, polynomial, basepoint_moves):
     """(forms, substitution, upto) with upto < 7, below the characteristic.
 
-    f_1 is a constant or a linear polynomial, whose powers then scale the
-    series.  Polynomial inputs have polynomial forms and f_k, so every
-    (scaled) scalar is a polynomial and each column is summed in place.  In
-    fractional inputs w_0 has a fractional coefficient, so every column
-    collects `RatFn` products; the other forms and f_k may be fractions too.
+    f_1 is a constant or a linear polynomial.  Polynomial inputs have
+    polynomial forms and f_k: with a constant f_1 every scalar is a
+    polynomial and each column is summed in place, with a linear one 1/A is
+    a fraction and the columns collect `RatFn` products.  In fractional
+    inputs w_0 has a fractional coefficient, so every column collects
+    `RatFn` products; the other forms and f_k may be fractions too.
     """
     x, y = chart.var("x"), chart.var("y")
     coeffs = first = polys(chart, max_terms=2).map(RatFn.from_poly)
