@@ -53,11 +53,3 @@ class DegenerateFrame(GvError):
 
 class PClosedCase(GvError):
     """All frame contractions w(X_i^p) vanish; the form is p-closed."""
-
-
-class RadialFoliation(GvError):
-    """The radial field is tangent to the foliation everywhere."""
-
-
-class NotRadialCubicPart(GvError):
-    """The degree-3 part of a reduction input is not radial."""

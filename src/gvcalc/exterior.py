@@ -5,16 +5,15 @@ variable indices to nonzero rational functions.  Degree-0 forms use the empty
 tuple as their single key, so functions, 1-forms, and higher forms share one
 arithmetic.  All operations are exact.
 
-Sums of forms, `interior`, and `wedge` and `ext_d` of forms with a
-fractional coefficient add `RatFn` pairs in `_collect`.  When every
-coefficient of the operands of `wedge` or `ext_d` is a polynomial, the form
-is summed instead in `_PolySum`: each product k*c1*c2 and each derivative
-k*d_v(c) is added in place into one packed-int term dict per output index
+Sums of forms and `interior` add `RatFn` pairs in `_collect`.  `wedge`,
+`ext_d` and `zseries` sum products k*c1*c2 and derivatives k*d_v(c) in one
+`_FormSum`, which decides per term: when the coefficients are polynomials,
+the term is added in place into one packed-int term dict per output index
 (`intpoly._mul_terms`, `intpoly._diff_terms`), over one integer denominator
-per index that is raised to the lcm when a term with another one arrives,
-and each index that survives becomes one `RatFn` at the end.  No
-intermediate `MultiPoly` or `RatFn` is built.  `zseries.structure_defect`
-sums a whole structure relation in one `_PolySum`.
+per index that is raised to the lcm when a term with another one arrives;
+any other term is kept as a `RatFn` pair.  The in-place sums become one
+`RatFn` per index at the end, and the pairs, if any, are added to them in
+`_collect`.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from itertools import chain
 from collections.abc import Iterable, Sequence
 
 from .errors import ChartMismatch, GvError, ZeroFunction
-from .field import Chart, MultiPoly, RatFn, _UNIT, _coerce, _one, _over_one, _reduced, as_ratfn
+from .field import Chart, RatFn, _UNIT, _coerce, _one, _over_one, _reduced, as_ratfn
 from .intpoly import _diff_terms, _mul_terms, _times, _var
 
 
@@ -200,25 +199,23 @@ def _collect(chart: Chart, degree: int, pairs: Iterable) -> DiffForm:
     return DiffForm._raw(chart, degree, out)
 
 
-def _polynomial(a: DiffForm) -> bool:
-    """Whether every coefficient of a has denominator 1."""
-    return all(c.den._ints == _UNIT for c in a.terms.values())
+class _FormSum:
+    """A form summed from products and derivatives of coefficients.
 
-
-class _PolySum:
-    """A form summed from polynomial coefficients in place.
-
-    Each output index keeps [term dict, integer denominator]: the numerators
-    of the terms added so far over their lcm.  Over F_p every denominator
-    is 1.
+    A term whose coefficients are polynomials is added in place: each output
+    index keeps [term dict, integer denominator], the numerators of the
+    terms added so far over their lcm.  Over F_p every denominator is 1.
+    Any other term is kept as an (index, `RatFn`) pair, and `form` adds the
+    pairs to the in-place sums in `_collect`.
     """
 
-    __slots__ = ("chart", "p", "sums")
+    __slots__ = ("chart", "p", "sums", "pairs")
 
     def __init__(self, chart: Chart) -> None:
         self.chart = chart
         self.p = chart.characteristic
         self.sums: dict[tuple[int, ...], list] = {}
+        self.pairs: list[tuple[tuple[int, ...], RatFn]] = []
 
     def _target(self, idx: tuple[int, ...], den: int, k: int) -> tuple[dict, int]:
         """The term dict of idx and the weight that puts k/den over its denominator."""
@@ -236,7 +233,7 @@ class _PolySum:
         return entry[0], k
 
     def add_wedge(self, a: "DiffForm", b: "DiffForm", k: int) -> None:
-        """Add k*(a ^ b) for an int k, a and b with polynomial coefficients."""
+        """Add k*(a ^ b) for an int k."""
         p = self.p
         if not (k % p if p else k):
             return
@@ -246,6 +243,10 @@ class _PolySum:
                 if merged is None:
                     continue
                 sign, idx = merged
+                if ca.den._ints != _UNIT or cb.den._ints != _UNIT:
+                    c, w = ca * cb, sign * k
+                    self.pairs.append((idx, c if w == 1 else c * w))
+                    continue
                 x, y = ca.num, cb.num
                 out, w = self._target(idx, x._den * y._den, sign * k)
                 tx, ty = x._ints, y._ints
@@ -258,19 +259,26 @@ class _PolySum:
                 _mul_terms(tx, ty, p, out)
 
     def add_d(self, a: "DiffForm", k: int) -> None:
-        """Add k*(d a) for an int k, a with polynomial coefficients."""
+        """Add k*(d a) for an int k."""
         p, n = self.p, self.chart.dim
         if not (k % p if p else k):
             return
         for idx, c in a.terms.items():
             x = c.num
+            polynomial = c.den._ints == _UNIT
             for v in range(n):
                 merged = _merge_indices((v,), idx)
-                if merged is not None:
-                    sign, nidx = merged
+                if merged is None:
+                    continue
+                sign, nidx = merged
+                if polynomial:
                     out, w = self._target(nidx, x._den, sign * k)
                     s, u = _var(n, v)
                     _diff_terms(x._ints, s, u, p, w, out)
+                    continue
+                dc, w = c.diff(v), sign * k
+                if not dc.is_zero():
+                    self.pairs.append((nidx, dc if w == 1 else dc * w))
 
     def form(self, degree: int) -> "DiffForm":
         """The summed form; an index whose sum vanished is dropped."""
@@ -281,7 +289,9 @@ class _PolySum:
             for idx, (ints, den) in self.sums.items()
             if ints
         }
-        return DiffForm._raw(chart, degree, terms)
+        if not self.pairs:
+            return DiffForm._raw(chart, degree, terms)
+        return _collect(chart, degree, chain(terms.items(), self.pairs))
 
 
 def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]):
@@ -305,21 +315,9 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     deg = a.degree + b.degree
     if deg > chart.dim:
         return DiffForm.zero(chart, deg)
-    if _polynomial(a) and _polynomial(b):
-        acc = _PolySum(chart)
-        acc.add_wedge(a, b, 1)
-        return acc.form(deg)
-
-    def pairs():
-        for ia, ca in a.terms.items():
-            for ib, cb in b.terms.items():
-                merged = _merge_indices(ia, ib)
-                if merged is not None:
-                    sign, idx = merged
-                    c = ca * cb
-                    yield idx, (c if sign > 0 else -c)
-
-    return _collect(chart, deg, pairs())
+    acc = _FormSum(chart)
+    acc.add_wedge(a, b, 1)
+    return acc.form(deg)
 
 
 def wedge_all(forms: Sequence[DiffForm]) -> DiffForm:
@@ -341,23 +339,9 @@ def ext_d(a) -> DiffForm:
     chart = a.chart
     if a.degree >= chart.dim:
         return DiffForm.zero(chart, a.degree + 1)
-    if _polynomial(a):
-        acc = _PolySum(chart)
-        acc.add_d(a, 1)
-        return acc.form(a.degree + 1)
-
-    def pairs():
-        for idx, c in a.terms.items():
-            for v in range(chart.dim):
-                merged = _merge_indices((v,), idx)
-                if merged is None:
-                    continue
-                dc = c.diff(v)
-                if not dc.is_zero():
-                    sign, nidx = merged
-                    yield nidx, (dc if sign > 0 else -dc)
-
-    return _collect(chart, a.degree + 1, pairs())
+    acc = _FormSum(chart)
+    acc.add_d(a, 1)
+    return acc.form(a.degree + 1)
 
 
 def d_of(f: RatFn) -> DiffForm:

@@ -123,7 +123,11 @@ class GVSequence(FormalOmega):
         if forms[0].is_zero():
             raise GvError("the defining form omega_0 must be nonzero")
         if declared_length is not None:
-            if not isinstance(declared_length, int) or declared_length < 1:
+            if (
+                isinstance(declared_length, bool)
+                or not isinstance(declared_length, int)
+                or declared_length < 1
+            ):
                 raise GvError("declared length must be a positive integer")
             if declared_length > len(forms):
                 raise GvError("declared length exceeds the stored entries")
@@ -330,8 +334,9 @@ def form_ratio(a: DiffForm, b: DiffForm) -> Optional[RatFn]:
 def _dlog(f: RatFn) -> DiffForm:
     """d(f)/f for f = P/Q, as sum_v (P_v/P - Q_v/Q) dx_v.
 
-    Every gcd is then taken against P or Q rather than against Q**2, which
-    the quotient rule for d(P/Q) would need.
+    Each quotient is reduced against P or Q on its own.  `RatFn.diff` would
+    reduce d(P/Q) against gcd(Q, Q_v), and dividing that by f takes further
+    gcds against P and the new denominator.
     """
     coeffs = []
     for v in range(f.chart.dim):
@@ -907,7 +912,7 @@ def finite_gv_pullback(
     exponent bookkeeping collapses.
     """
     n = _verified_order(s, "pullback analysis")
-    if not isinstance(degree, int) or degree < 0:
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
         raise GvError("the degree bound must be a nonnegative integer")
     chart = s.chart
     gfun = as_ratfn(chart, witness)

@@ -22,8 +22,8 @@ from collections.abc import Iterable
 from typing import Sequence
 
 from .errors import ChartMismatch, GvError, VanishingLeadCoefficient, ZeroDenominator
-from .field import Chart, MultiPoly, RatFn, _UNIT, _drop_variable, as_ratfn
-from .exterior import DiffForm, _collect, _PolySum, _polynomial, ext_d, wedge
+from .field import Chart, MultiPoly, RatFn, _drop_variable, as_ratfn
+from .exterior import DiffForm, _FormSum, ext_d
 
 
 class FormalOmega:
@@ -55,7 +55,7 @@ class FormalOmega:
 
     def omega(self, k: int) -> DiffForm:
         """The k-th coefficient; zero beyond the stored range."""
-        if not isinstance(k, int) or k < 0:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
             raise GvError("series index must be a nonnegative integer")
         if k < len(self.coeffs):
             return self.coeffs[k]
@@ -106,30 +106,19 @@ def structure_defect(om: FormalOmega, k: int) -> DiffForm:
         d w_k - sum_{0<=j<l, j+l=k+1} (C(k, j) - C(k, j-1)) w_j ^ w_l,
 
     with C(k, -1) = 0: a 2-form on the base chart.  The extended form is
-    integrable exactly when every defect vanishes.  When every coefficient
-    involved is a polynomial, the defect is one accumulation: d w_k and each
-    weighted wedge are summed in place into one `exterior._PolySum`, with no
-    form built in between.
+    integrable exactly when every defect vanishes.  The defect is one
+    accumulation: d w_k and each weighted wedge are summed into one
+    `exterior._FormSum`, with no form built in between.
     """
     _require_series(om)
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise GvError("defect index must be a nonnegative integer")
-    wk = om.omega(k)
-    terms = []
+    acc = _FormSum(om.chart)
+    acc.add_d(om.omega(k), 1)
     for j in range((k + 2) // 2):
         wj, wl = om.omega(j), om.omega(k + 1 - j)
-        if not (wj.is_zero() or wl.is_zero()):
-            terms.append((wj, wl, comb(k, j) - (comb(k, j - 1) if j else 0)))
-    if _polynomial(wk) and all(_polynomial(w) for wj, wl, _ in terms for w in (wj, wl)):
-        acc = _PolySum(om.chart)
-        acc.add_d(wk, 1)
-        for wj, wl, coeff in terms:
-            acc.add_wedge(wj, wl, -coeff)
-        return acc.form(2)
-    out = ext_d(wk)
-    for wj, wl, coeff in terms:
-        out = out - wedge(wj, wl) * coeff
-    return out
+        acc.add_wedge(wj, wl, (comb(k, j - 1) if j else 0) - comb(k, j))
+    return acc.form(2)
 
 
 def _defect_orders(om: FormalOmega) -> range:
@@ -321,25 +310,6 @@ def _series_inv(a: list[RatFn], upto: int) -> list[RatFn]:
     return out
 
 
-def _column(chart: Chart, terms: list, polynomial: bool) -> DiffForm:
-    """The 1-form sum of weight * s * w over (s, w, int weight), s and w nonzero.
-
-    `polynomial` says every coefficient of every w has denominator 1.  If each
-    s has too, the products are summed in place in one `_PolySum`, each s as
-    a degree-0 form; otherwise the column collects `RatFn` products.
-    """
-    if polynomial and all(s.den._ints == _UNIT for s, _, _ in terms):
-        acc = _PolySum(chart)
-        for s, w, weight in terms:
-            acc.add_wedge(DiffForm._raw(chart, 0, {(): s}), w, weight)
-        return acc.form(1)
-    pairs = []
-    for s, w, weight in terms:
-        s = s * weight if weight != 1 else s
-        pairs.extend((idx, c * s) for idx, c in w.terms.items())
-    return _collect(chart, 1, pairs)
-
-
 def substitute_series(
     om: FormalOmega, sub: Substitution, upto: int | None = None
 ) -> FormalOmega:
@@ -353,7 +323,7 @@ def substitute_series(
 
         w~_j = sum_k (j!/k!) q_k[j] w_k + sum_{i<=j} j! (1/A)[j-i] d f_i,
 
-    added in place when every scalar and form coefficient is a polynomial.
+    summed in one `exterior._FormSum`, each scalar as a degree-0 form.
     The default keeps two indices beyond the input length.
     """
     _require_series(om)
@@ -387,7 +357,6 @@ def substitute_series(
             d = ext_d(f)
             if not d.is_zero():
                 dfs.append((i, d))
-    polynomial = all(_polynomial(w) for _, w, _ in qs) and all(_polynomial(d) for _, d in dfs)
     out = []
     for j in range(upto + 1):
         fj = factorial(j)
@@ -398,5 +367,8 @@ def substitute_series(
             if not q[j].is_zero()
         ]
         terms += [(inv[j - i], d, fj) for i, d in dfs if i <= j and not inv[j - i].is_zero()]
-        out.append(_column(chart, terms, polynomial))
+        acc = _FormSum(chart)
+        for s, w, weight in terms:
+            acc.add_wedge(DiffForm._raw(chart, 0, {(): s}), w, weight)
+        out.append(acc.form(1))
     return FormalOmega(chart, out)

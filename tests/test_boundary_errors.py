@@ -24,6 +24,7 @@ from gvcalc import (
     exact_div,
     ext_d,
     finite_gv_classify,
+    finite_gv_pullback,
     FormalOmega,
     Substitution,
     Triple,
@@ -62,6 +63,10 @@ SUB = Substitution.normalized(Q, [1])
 SEQ = GVSequence([DX])
 U = Q.var("y")
 TRIPLE = Triple(DX, DiffForm.zero(Q, 1), DiffForm.zero(Q, 1))
+CURVE = Chart(("u", "z"))
+DU, DZ, Z = DiffForm.coordinate(CURVE, "u"), DiffForm.coordinate(CURVE, "z"), CURVE.var("z")
+# the curve ODE dz + z^3 du, declared finite of length 4
+CUBIC = GVSequence([DZ + DU * Z**3, DU * (3 * Z**2), DU * (6 * Z), DU * 6], 4)
 
 BAD_CALLS = {
     "RatFn(1, 2)": lambda: RatFn(1, 2),
@@ -114,6 +119,10 @@ BAD_CALLS = {
     "triple_gauge_regular(None, 1, 0)": lambda: triple_gauge_regular(None, 1, 0),
     "triple_verify(None)": lambda: triple_verify(None),
     "gv_from_field(dx, X, True)": lambda: gv_from_field(DX, VectorField.coordinate(Q, "x"), True),
+    "FormalOmega.omega(True)": lambda: OM.omega(True),
+    "GVSequence.omega(True)": lambda: CUBIC.omega(True),
+    "GVSequence(forms, True)": lambda: GVSequence([DX], True),
+    "finite_gv_pullback(s, u, True)": lambda: finite_gv_pullback(CUBIC, CURVE.var("u"), True),
 }
 
 
@@ -127,11 +136,16 @@ def test_an_int_subclass_other_than_bool_is_an_order():
     """Only bool is refused among the int subclasses."""
 
     class Order(IntEnum):
+        ONE = 1
         TWO = 2
 
     assert substitute_series(OM, SUB, Order.TWO).length == 3
     assert structure_defect(OM, Order.TWO).is_zero()
     assert gv_shift(SEQ, U, Order.TWO) == gv_shift(SEQ, U, 2)
+    assert OM.omega(Order.TWO).is_zero()
+    assert CUBIC.omega(Order.TWO) == DU * (6 * Z)
+    assert GVSequence([DX], Order.ONE).declared_length == 1
+    assert finite_gv_pullback(CUBIC, CURVE.var("u"), Order.ONE).ramification == 2
 
 
 def test_a_negative_variable_index_is_not_a_variable():

@@ -15,9 +15,11 @@ charts of 2 and 3 variables.  Every stored coefficient must be nonzero.
 d o d = 0, the Leibniz rule and the naturality of `pullback` are checked on
 the same forms.  Over Q and F_2 .. F_7, `wedge` and `ext_d` of polynomial
 forms, which sum in place on term dicts, are compared with the same
-operations on the forms times a fraction, which sum `RatFn` pairs.  On four variables with rational coefficients, Omega ^ d Omega
-of a triple extended to a 1-form is compared with sympy's rational function
-field.
+operations on the forms times a fraction, which sum `RatFn` pairs; a wedge
+and a derivative whose terms are of both kinds at one index are checked by
+hand and against sympy.  On four variables with rational coefficients,
+Omega ^ d Omega of a triple extended to a 1-form is compared with sympy's
+rational function field.
 """
 
 from __future__ import annotations
@@ -304,9 +306,10 @@ PRIME_CHARTS = [Chart(names, p) for p in (0, 2, 3, 5, 7) for names in (("x", "y"
 
 @pytest.mark.parametrize("chart", PRIME_CHARTS, ids=chart_id)
 def test_polynomial_sums_agree_with_the_rational_path(chart):
-    """`wedge` and `ext_d` of polynomial forms are summed in place; scaled by
-    the fraction f = 1/(x + 2), the same products and derivatives go through
-    `RatFn` pairs:
+    """`wedge` and `ext_d` of polynomial forms add every term in place; scaled
+    by the fraction f = 1/(x + 2), the same products and derivatives are
+    kept as `RatFn` pairs (all of them, unless a coefficient of a is
+    divisible by x + 2), which `exterior._FormSum` adds in `_collect`:
 
         (a ^ b) f = (a f) ^ b,    (b ^ a) f = b ^ (a f),    d a = (d(a f) - df ^ a) / f.
 
@@ -327,6 +330,32 @@ def test_polynomial_sums_agree_with_the_rational_path(chart):
         assert ext_d(a) == (ext_d(af) - wedge(df, a)) / f
 
     check()
+
+
+TWO_VARIABLES = [Chart(("x", "y"), p) for p in (0, 5)]
+
+
+@pytest.mark.parametrize("chart", TWO_VARIABLES, ids=chart_id)
+def test_terms_of_both_kinds_cancel_at_one_index(chart):
+    """a ^ b = 0 for a = dx/(x + 1) + dy and b = dx + (x + 1) dy: at (0, 1)
+    the fractional pair (1/(x + 1))(x + 1) meets the in-place product -1."""
+    x1 = chart.var("x") + 1
+    a = DiffForm.one_form(chart, [1 / x1, 1])
+    b = DiffForm.one_form(chart, [1, x1])
+    ab = wedge(a, b)
+    assert (ab.degree, ab.terms) == (2, {})
+    assert wedge(b, a).terms == {}
+
+
+@pytest.mark.parametrize("chart", TWO_VARIABLES, ids=chart_id)
+def test_ext_d_of_a_polynomial_and_a_fractional_coefficient_matches_sympy(chart):
+    """d(P dx + R dy), P a polynomial added in place and R a fraction kept as
+    a pair, both landing on (0, 1)."""
+    x, y = chart.var("x"), chart.var("y")
+    a = DiffForm.one_form(chart, [x * y**2 + 3, (x + 2) / (y**2 + x + 1)])
+    da = ext_d(a)
+    assert set(da.terms) == {(0, 1)}
+    assert_matches(da, oracle_d(a))
 
 
 def random_triple(rng: random.Random) -> Triple:

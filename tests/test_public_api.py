@@ -87,8 +87,6 @@ SIGNATURES = {
     'GcdDegenerate': None,
     'DegenerateFrame': None,
     'PClosedCase': None,
-    'RadialFoliation': None,
-    'NotRadialCubicPart': None,
 }
 
 
