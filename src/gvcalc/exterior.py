@@ -6,8 +6,9 @@ tuple as their single key, so functions, 1-forms, and higher forms share one
 arithmetic.  All operations are exact.
 
 Sums of forms and `interior` add `RatFn` pairs in `_collect`.  `wedge`,
-`ext_d` and `zseries` sum products k*c1*c2 and derivatives k*d_v(c) in one
-`_FormSum`, which decides per term: when the coefficients are polynomials,
+`ext_d`, `zseries` and the finite-sequence relations and columns of `gv.py`
+sum products k*c1*c2 and derivatives k*d_v(c) in one `_FormSum`, which
+decides per term: when the coefficients are polynomials,
 the term is added in place into one packed-int term dict per output index
 (`intpoly._mul_terms`, `intpoly._diff_terms`), over one integer denominator
 per index that is raised to the lcm when a term with another one arrives;
@@ -470,6 +471,8 @@ def lie_derivative(x: VectorField, a) -> "DiffForm | RatFn":
 
 def is_integrable(omega: DiffForm) -> bool:
     """Whether a 1-form satisfies omega ^ d(omega) = 0."""
+    if not isinstance(omega, DiffForm):
+        raise GvError(f"integrability needs a form, not {omega!r}")
     if omega.degree != 1:
         raise GvError("integrability is a condition on 1-forms")
     return wedge(omega, ext_d(omega)).is_zero()
@@ -477,6 +480,8 @@ def is_integrable(omega: DiffForm) -> bool:
 
 def same_foliation(a: DiffForm, b: DiffForm) -> bool:
     """Whether two nonzero integrable 1-forms have proportional kernels."""
+    if not (isinstance(a, DiffForm) and isinstance(b, DiffForm)):
+        raise GvError(f"foliation comparison needs two forms, not {a!r} and {b!r}")
     if a.degree != 1 or b.degree != 1:
         raise GvError("foliation comparison expects 1-forms")
     if a.is_zero() or b.is_zero():

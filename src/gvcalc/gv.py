@@ -46,6 +46,7 @@ from .errors import (
 from .exterior import (
     DiffForm,
     VectorField,
+    _FormSum,
     ext_d,
     form_apply,
     is_integrable,
@@ -313,22 +314,30 @@ def _require_sequence(s) -> None:
 def form_ratio(a: DiffForm, b: DiffForm) -> Optional[RatFn]:
     """The rational function q with a = q*b, or None when none exists.
 
-    `b` must be nonzero and of the same degree as `a`.
+    `b` must be nonzero and of the same degree as `a`.  A nonzero q keeps
+    every coefficient of b nonzero, so a and b share their indices; then
+    q = a_0/b_0 for one index 0, and a = q*b exactly when a_I*b_0 = a_0*b_I
+    at every other index I, compared as cleared polynomial products.
     """
+    if not (isinstance(a, DiffForm) and isinstance(b, DiffForm)):
+        raise GvError(f"ratio needs two forms, not {a!r} and {b!r}")
     if b.chart != a.chart or b.degree != a.degree:
         raise GvError("ratio needs two forms of one degree on one chart")
     if b.is_zero():
         raise ZeroFunction("ratio by the zero form")
     if a.is_zero():
         return a.chart.zero()
-    idx = next(iter(b.terms))
-    q = a.terms.get(idx)
-    if q is None:
+    at, bt = a.terms, b.terms
+    if at.keys() != bt.keys():
         return None
-    q = q / b.terms[idx]
-    if a == b * q:
-        return q
-    return None
+    idx = next(iter(bt))
+    a0, b0 = at[idx], bt[idx]
+    left, right = a0.den * b0.num, a0.num * b0.den
+    for i, ai in at.items():
+        bi = bt[i]
+        if i != idx and ai.num * bi.den * left != bi.num * ai.den * right:
+            return None
+    return a0 / b0
 
 
 def _dlog(f: RatFn) -> DiffForm:
@@ -520,6 +529,7 @@ def flag_forms(s: GVSequence) -> FlagReport:
     products and omega_n for the drop, so an undeclared sequence whose
     stored prefix never degenerates raises.
     """
+    _require_sequence(s)
     prefixes = [s.forms[0]]
     j = 1
     while True:
@@ -554,6 +564,7 @@ def flag_decompose(
     decomposition is re-checked exactly; any failure raises
     DecompositionFails.
     """
+    _require_sequence(s)
     if flag is None:
         flag = flag_forms(s)
     n = flag.n
@@ -619,6 +630,8 @@ def finite_gv_verify(s: GVSequence) -> FiniteGVReport:
           d omega_k = omega_0 /\ omega_{k+1} + (k-1) omega_1 /\ omega_k
           (with omega_{N+1} = 0).
     Together they are equivalent to integrability of the extended form.
+    Each relation is one accumulation: d omega_k and its weighted wedges
+    are summed into one `exterior._FormSum`, with no form built in between.
     """
     _require_sequence(s)
     if not s.is_finite:
@@ -628,19 +641,23 @@ def finite_gv_verify(s: GVSequence) -> FiniteGVReport:
     if n < 2:
         raise GvError("finite analysis needs order at least 2")
     w = t.forms
-    zero1 = DiffForm.zero(s.chart, 1)
     wedge_bad = []
     for k in range(2, n + 1):
         for l in range(k + 1, n + 1):
             if not wedge(w[k], w[l]).is_zero():
                 wedge_bad.append((k, l))
     rel_bad = []
-    if ext_d(w[0]) != wedge(w[0], w[1]):
-        rel_bad.append(0)
-    for k in range(1, n + 1):
-        nxt = w[k + 1] if k + 1 <= n else zero1
-        rhs = wedge(w[0], nxt) + wedge(w[1], w[k]) * (k - 1)
-        if ext_d(w[k]) != rhs:
+    for k in range(n + 1):
+        acc = _FormSum(s.chart)
+        acc.add_d(w[k], 1)
+        if k == 0:
+            # the general relation would count w_0 ^ w_1 twice here
+            acc.add_wedge(w[0], w[1], -1)
+        else:
+            if k < n:
+                acc.add_wedge(w[0], w[k + 1], -1)
+            acc.add_wedge(w[1], w[k], 1 - k)
+        if not acc.form(2).is_zero():
             rel_bad.append(k)
     return FiniteGVReport(n, tuple(wedge_bad), tuple(rel_bad))
 
@@ -676,24 +693,22 @@ def _normalized_columns(t: GVSequence, n: int) -> tuple[list[DiffForm], RatFn]:
     g = form_ratio(t.forms[n - 1], t.forms[n])
     if g is None:
         raise GvError("subleading and top coefficients are not proportional")
-    # rescale the transverse coordinate by g ...
-    r = _plain_columns(gv_rescale(t, g))
-    # ... then translate it by one unit
+    # rescale the transverse coordinate by g, then translate it by one unit:
+    # wt_j = sum_{k>=j} (-1)^(k-j) r_k / (j! (k-j)!), summed with the integer
+    # weights (-1)^(k-j) n!/(j! (k-j)!) and scaled by 1/n! once
+    r = gv_rescale(t, g).forms
+    unit = DiffForm._raw(chart, 0, {(): chart.one()})
+    nf = math.factorial(n)
     wt: list[DiffForm] = []
     for j in range(n + 1):
-        acc = DiffForm.zero(chart, 1)
+        acc = _FormSum(chart)
         for k in range(j, n + 1):
-            c = math.comb(k, j) * (-1) ** (k - j)
-            acc = acc + r[k] * c
-        wt.append(acc)
+            c = nf // (math.factorial(j) * math.factorial(k - j))
+            acc.add_wedge(unit, r[k], -c if (k - j) % 2 else c)
+        wt.append(acc.form(1) * Fraction(1, nf))
     if not wt[n - 1].is_zero():
         raise GvError("normalization failed to kill the subleading column")
     return wt, g
-
-
-def _plain_columns(s: GVSequence) -> list[DiffForm]:
-    """The columns omega_k / k! of the extended form."""
-    return [w * Fraction(1, math.factorial(k)) for k, w in enumerate(s.forms)]
 
 
 def _lower_indices(n: int) -> list[int]:
@@ -703,7 +718,10 @@ def _lower_indices(n: int) -> list[int]:
 def _certify_affine(
     s: GVSequence, omega: DiffForm, eta: DiffForm, branch: str
 ) -> Union[AffineCertificate, Inconclusive]:
-    if ext_d(omega) != wedge(omega, eta):
+    acc = _FormSum(omega.chart)
+    acc.add_d(omega, 1)
+    acc.add_wedge(omega, eta, -1)
+    if not acc.form(2).is_zero():
         return Inconclusive(branch, "certificate relation d w = w /\\ h failed")
     if not ext_d(eta).is_zero():
         return Inconclusive(branch, "certificate form h is not closed")

@@ -25,6 +25,9 @@ from gvcalc import (
     ext_d,
     finite_gv_classify,
     finite_gv_pullback,
+    flag_decompose,
+    flag_forms,
+    form_ratio,
     FormalOmega,
     Substitution,
     Triple,
@@ -34,11 +37,13 @@ from gvcalc import (
     gv_rescale,
     gv_shift,
     gv_verify,
+    is_integrable,
     poly_gcd,
     poly_str,
     pullback,
     rf_normalize,
     riccati_triple,
+    same_foliation,
     squarefree_decomposition,
     structure_defect,
     structure_defects,
@@ -123,6 +128,14 @@ BAD_CALLS = {
     "GVSequence.omega(True)": lambda: CUBIC.omega(True),
     "GVSequence(forms, True)": lambda: GVSequence([DX], True),
     "finite_gv_pullback(s, u, True)": lambda: finite_gv_pullback(CUBIC, CURVE.var("u"), True),
+    "form_ratio(None, dx)": lambda: form_ratio(None, DX),
+    "form_ratio(dx, None)": lambda: form_ratio(DX, None),
+    "form_ratio(dx, 5)": lambda: form_ratio(DX, 5),
+    "same_foliation(None, dx)": lambda: same_foliation(None, DX),
+    "same_foliation(dx, None)": lambda: same_foliation(DX, None),
+    "is_integrable(None)": lambda: is_integrable(None),
+    "flag_forms(None)": lambda: flag_forms(None),
+    "flag_decompose(None)": lambda: flag_decompose(None),
 }
 
 
