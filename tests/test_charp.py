@@ -1,13 +1,16 @@
 """Positive-characteristic integrating factors: frames, p-th powers, sieving."""
 
+import hashlib
 import json
 import random
 import re
+import signal
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_field_oracles import polys
+from test_field_oracles import polys, to_sympy
 
 from gvcalc import (
     Chart,
@@ -29,7 +32,7 @@ from gvcalc import (
     pullback,
     vf_pth_power,
 )
-from gvcalc.charp import _closed_identity
+from gvcalc.charp import _closed_identity, _common_denominator
 
 
 def plane(p: int) -> Chart:
@@ -87,6 +90,14 @@ class TestDualFrame:
         assert x1.bracket(x2).is_zero()
         assert form_apply(w, x1).is_zero()
         assert form_apply(w, x2).is_zero()
+        # dual_frame does not bracket its fields; the seeded small draws of
+        # the p-th power oracle check that commuting follows from its checks
+        for p in (3, 5, 7):
+            chart = Chart(("x", "y", "z"), p)
+            rng = random.Random(10 * p + 3)
+            for _ in range(10):
+                x1, x2 = dual_frame(random_integrable_form(chart, rng)).kernel_fields
+                assert x1.bracket(x2).is_zero()
 
     def test_degenerate_choice_raises(self) -> None:
         chart = plane(2)
@@ -108,6 +119,9 @@ class TestDualFrame:
         chart = plane(2)
         with pytest.raises(GvError):
             dual_frame(worked_form(chart), fs=[chart.var("x"), chart.var("y")])
+
+
+F7_POWER_SHA256 = "ca9551421cfee5a261021e73efd111586dc397dd88a9f7c874c2bb093dbcec70"
 
 
 class TestPthPower:
@@ -149,6 +163,21 @@ class TestPthPower:
             f = rng.choice(pool)
             g = rng.choice(pool)
             assert vp.apply(f * g) == f * vp.apply(g) + g * vp.apply(f)
+
+    def test_power_str_is_pinned_on_an_f7_field(self) -> None:
+        # the kernel field of this frame has an 8-term denominator; the
+        # digest pins the power whichever common denominator its components
+        # are cleared over
+        chart = plane(7)
+        x = chart.var("x")
+        y = chart.var("y")
+        w = DiffForm.one_form(
+            chart, [(5 * x**2 + 4 * x * y + 2) / (y + 5), (2 * x**2 + 6 * y**2 + 3 * x) / y]
+        )
+        (kernel,) = dual_frame(w, fs=[2 * x + y]).kernel_fields
+        text = str(vf_pth_power(kernel, 7))
+        assert len(text) == 4069
+        assert hashlib.sha256(text.encode()).hexdigest() == F7_POWER_SHA256
 
     def test_power_matches_iterated_application(self) -> None:
         chart = plane(5)
@@ -223,6 +252,23 @@ class TestIntegratingFactor:
         with pytest.raises(GvError):
             integrating_factor(worked_form(chart))
 
+    def test_probe_form_zero_finishes(self) -> None:
+        # cleared over the product of the kernel denominators rather than
+        # their lcm, this form takes seconds
+        w = _probe_form(0)
+
+        def stalled(signum, frame):
+            raise TimeoutError("integrating_factor on probe form 0 took over 2 s")
+
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.alarm(2)
+        try:
+            f = integrating_factor(w)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert ext_d(w * f).is_zero()
+
     def test_closed_identity_rejects_a_non_factor(self) -> None:
         # the closedness certificate is a real identity: it holds for the
         # factor and fails once the factor is perturbed
@@ -234,6 +280,71 @@ class TestIntegratingFactor:
             assert _closed_identity(f, w)
             assert not _closed_identity(f * x, w)
             assert not _closed_identity(chart.one(), w)
+
+
+def _probe_form(i: int) -> DiffForm:
+    """Probe form i: a plane form over F_3, F_5 or F_7 pulled back to (x, y, z).
+
+    The 3-variable draws whose factors stress the F_p gcd; the draw order
+    fixes the index of each form.
+    """
+    p = (3, 5, 7)[i % 3]
+    rng = random.Random(i)
+    ch2 = Chart(("x", "y"), p)
+    X, Y = ch2.var("x"), ch2.var("y")
+
+    def coef():
+        num = ch2.zero()
+        for _ in range(rng.randint(1, 3)):
+            m = ch2.const(rng.randint(1, p - 1))
+            for v in (X, Y):
+                m = m * v ** rng.randint(0, 2)
+            num = num + m
+        den = ch2.one()
+        for _ in range(rng.randint(0, 2)):
+            den = den * (X * rng.randint(0, p - 1) + Y * rng.randint(0, p - 1)
+                         + rng.randint(1, p - 1))
+        return num / den
+
+    A, B = coef(), coef()
+    ch3 = Chart(("x", "y", "z"), p)
+    x, y, z = (ch3.var(v) for v in "xyz")
+    a, b = rng.randint(1, p - 1), rng.randint(1, p - 1)
+    return pullback(
+        [x + z ** rng.randint(1, 2) * a, y + z ** rng.randint(0, 2) * b],
+        DiffForm.one_form(ch2, [A, B]),
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_common_denominator_is_the_lcm(p):
+    # denominators share a planted factor, so the lcm is a proper divisor of
+    # their product
+    chart = plane(p)
+    rng = random.Random(p)
+    shared_any = False
+    for _ in range(12):
+        shared = MultiPoly.zero(chart)
+        while shared.is_constant():
+            shared = random_poly(chart, rng, 2, 2)
+        fracs = []
+        for _ in range(rng.randint(2, 4)):
+            den = MultiPoly.zero(chart)
+            while den.is_zero():
+                den = random_poly(chart, rng, rng.randint(1, 2), 1)
+            fracs.append(RatFn(random_poly(chart, rng, rng.randint(1, 3), 2), shared * den))
+        nums, den = _common_denominator(fracs)
+        lcm = to_sympy(fracs[0].den)
+        for f in fracs[1:]:
+            lcm = sympy.lcm(lcm, to_sympy(f.den))
+        assert to_sympy(den) == lcm.monic()
+        for n, f in zip(nums, fracs):
+            assert n * f.den == f.num * den
+        product = MultiPoly.const(chart, 1)
+        for f in fracs:
+            product = product * f.den
+        shared_any |= den != product
+    assert shared_any
 
 
 @pytest.mark.parametrize("dim", [2, 3])
