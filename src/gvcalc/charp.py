@@ -18,10 +18,11 @@ and w(Y) = den w(X) = 0, gives w(X^p) = w(Y^p) / den^p, and Y^p of each
 coordinate is iterated on polynomials.  `vf_pth_power` keeps the direct
 iteration of X on cleared numerators, over den^(2p-1).
 
-Every factor is re-checked: d(F*w) = 0 holds as a cleared polynomial
-identity (`_closed_identity`), and `dual_frame` re-checks the m*m duality
-contractions of its fields, so the output is a per-instance certificate
-rather than an appeal to the general statement.
+The form is cleared once to w = W/B with W polynomial: W ^ dW = B^2 (w ^ dw)
+and W has the kernel fields of w, so integrability, frame and contractions
+run on W.  Every factor is re-checked: d(F*w) = 0 holds as a cleared
+polynomial identity (`_closed_identity`), and `dual_frame` re-checks its
+m*m duality contractions, so the output is a per-instance certificate.
 """
 
 import random
@@ -42,11 +43,12 @@ from .errors import (
 from .exterior import (
     DiffForm,
     VectorField,
+    _FormSum,
     d_of,
+    ext_d,
     form_apply,
     is_integrable,
     pullback,
-    wedge_all,
 )
 from .field import (
     Chart,
@@ -92,20 +94,15 @@ class DualFrame:
 
 
 def _default_frame_functions(w: DiffForm) -> list[RatFn]:
-    """Greedy scan of coordinate functions keeping the coframe wedge nonzero."""
-    chart = w.chart
-    chosen: list[RatFn] = []
-    acc = [w]
-    for name in chart.variables:
-        if len(chosen) == chart.dim - 1:
-            break
-        cand = DiffForm.coordinate(chart, name)
-        if not wedge_all(acc + [cand]).is_zero():
-            chosen.append(chart.var(name))
-            acc.append(cand)
-    if len(chosen) != chart.dim - 1:
+    """Every coordinate but x_k, for k the last index in w's support.
+
+    The coframe wedge is +-w_k dx_1 ^ ... ^ dx_m, which is nonzero.
+    """
+    if w.is_zero():
         raise DegenerateFrame("no choice of coordinates completes the form to a coframe")
-    return chosen
+    chart = w.chart
+    (k,) = max(w.terms)
+    return [chart.var(name) for i, name in enumerate(chart.variables) if i != k]
 
 
 def _invert_matrix(chart: Chart, rows: list[list[RatFn]]) -> list[list[RatFn]]:
@@ -123,31 +120,29 @@ def _invert_matrix(chart: Chart, rows: list[list[RatFn]]) -> list[list[RatFn]]:
 def dual_frame(w: DiffForm, fs: Optional[Sequence] = None) -> DualFrame:
     """Build the vector fields dual to (df_1, ..., df_{m-1}, w).
 
-    When fs is omitted the frame functions default to coordinate functions
-    picked by a greedy scan; the smallest set of indices keeping the wedge
-    with w nonzero wins, which makes the output deterministic.  All m*m
-    duality contractions are re-checked on the result.  When w is
-    integrable the kernel fields commute, which these checks already imply.
-    For a 1-form a with a(X_i) and a(X_j) constant, a([X_i, X_j]) =
-    -da(X_i, X_j).  Each theta_k = df_k is closed, so theta_k([X_i, X_j]) = 0;
-    dw = w ^ eta and w(X_i) = w(X_j) = 0 give w([X_i, X_j]) = 0.  The
-    coframe has a nonzero wedge, so [X_i, X_j] = 0.
+    fs defaults to every coordinate but the last one in w's support, which
+    makes the output deterministic.  A coframe with a vanishing wedge has a
+    singular matrix, whose inversion raises DegenerateFrame.  The cleared
+    form B*w in place of w changes only the last field, by 1/B.  The m*m
+    duality contractions are re-checked.  When w is integrable the kernel
+    fields commute, which these checks imply: for a 1-form a with a(X_i) and
+    a(X_j) constant, a([X_i, X_j]) = -da(X_i, X_j); each theta_k = df_k is
+    closed, and dw = w ^ eta with w(X_i) = w(X_j) = 0, so the nonzero
+    coframe annihilates [X_i, X_j].
     """
+    if not isinstance(w, DiffForm) or w.degree != 1:
+        raise GvError(f"dual frames are built from a 1-form, not {w!r}")
     chart = w.chart
-    if w.degree != 1:
-        raise GvError("dual frames are built from a 1-form")
     if chart.characteristic == 0:
         raise GvError("dual frames are a positive-characteristic construction")
     m = chart.dim
     if fs is None:
         fns = _default_frame_functions(w)
     else:
+        if not isinstance(fs, Sequence) or len(fs) != m - 1:
+            raise GvError(f"expected a sequence of {m - 1} frame functions, not {fs!r}")
         fns = [as_ratfn(chart, f) for f in fs]
-        if len(fns) != m - 1:
-            raise GvError(f"expected {m - 1} frame functions, got {len(fns)}")
     forms = [d_of(f) for f in fns] + [w]
-    if wedge_all(forms).is_zero():
-        raise DegenerateFrame("the differentials do not complete the form to a coframe")
     rows = [list(a.coeffs()) for a in forms]
     inverse = _invert_matrix(chart, rows)
     fields = tuple(
@@ -279,46 +274,45 @@ def vf_pth_power(x: VectorField, p: int) -> VectorField:
 def _closed_identity(factor: RatFn, w: DiffForm) -> bool:
     """Whether d(factor * w) = 0, verified as a cleared polynomial identity.
 
-    With factor = P/N and w_j = W_j/B the coefficient of dx_i ^ dx_j in
-    d(factor*w) clears to d_i(U_j) D - U_j d_i(D) - d_j(U_i) D + U_i d_j(D)
-    over D^2, where U_j = P W_j and D = N B; the check is a polynomial zero
-    test with no rational normalization at all.
+    With factor = P/N and w = W/B cleared once, factor*w = U/D for the
+    polynomial 1-form U = P*W and D = N*B, and d(U/D) = (D dU - dD ^ U)/D^2.
+    The numerator is summed in one `_FormSum` of polynomial terms, so the
+    check is a polynomial zero test with no rational normalization at all.
     """
-    chart = w.chart
     wnums, wden = _common_denominator(list(w.coeffs()))
-    u = [factor.num * wn for wn in wnums]
-    d = factor.den * wden
-    dd = [d.diff(k) for k in range(chart.dim)]
-    du = [[uj.diff(k) for k in range(chart.dim)] for uj in u]
-    for i in range(chart.dim):
-        for j in range(i + 1, chart.dim):
-            lhs = du[j][i] * d - u[j] * dd[i] - du[i][j] * d + u[i] * dd[j]
-            if not lhs.is_zero():
-                return False
-    return True
+    u = DiffForm.one_form(w.chart, [factor.num * wn for wn in wnums])
+    d = DiffForm.from_function(RatFn.from_poly(factor.den * wden))
+    acc = _FormSum(w.chart)
+    acc.add_wedge(d, ext_d(u), 1)
+    acc.add_wedge(ext_d(d), u, -1)
+    return acc.form(2).is_zero()
 
 
 def integrating_factor(w: DiffForm, fs: Optional[Sequence] = None) -> RatFn:
     """A rational F with d(F*w) = 0, for integrable w in characteristic p.
 
-    Scans the kernel fields of a dual frame in order and inverts the first
-    nonzero contraction w(X_i^p).  The smallest index wins, which makes the
-    output deterministic; no uniqueness is claimed.  Each contraction is
-    w(Y^p) / den^p for X = Y/den with Y polynomial, by Hochschild's formula
+    w is cleared once to W/B with W polynomial: W ^ dW = B^2 (w ^ dw) tests
+    integrability, and the dual frame of W has the kernel fields of w.
+    Scans them in order and inverts the first nonzero contraction w(X_i^p).
+    The smallest index wins, which makes the output deterministic; no
+    uniqueness is claimed.  Each contraction is w(Y^p) / den^p for X = Y/den
+    with Y polynomial, by Hochschild's formula
     (fY)^p = f^p Y^p + (fY)^(p-1)(f) Y and w(Y) = 0.  Raises PClosedCase when
     every contraction vanishes: the kernel distribution is then closed under
     p-th powers and the form is proportional to an exact differential, a
     case this routine reports rather than resolves.
     """
+    if not isinstance(w, DiffForm) or w.degree != 1:
+        raise GvError(f"integrating factors are sought for a 1-form, not {w!r}")
     chart = w.chart
     p = chart.characteristic
     if p == 0:
         raise GvError("integrating factors are a positive-characteristic construction")
-    if not is_integrable(w):
-        raise NotIntegrable("the form does not satisfy w ^ dw = 0")
-    kernel = dual_frame(w, fs).kernel_fields
     wnums, wden = _common_denominator(list(w.coeffs()))
-    for x in kernel:
+    cleared = DiffForm.one_form(chart, wnums)
+    if not is_integrable(cleared):
+        raise NotIntegrable("the form does not satisfy w ^ dw = 0")
+    for x in dual_frame(cleared, fs).kernel_fields:
         # X = Y/den with Y polynomial, and w(Y) = den*w(X) = 0
         nums, den = _common_denominator(list(x.components))
         gs = _polynomial_pth_power(nums, p)
@@ -374,12 +368,12 @@ def invariant_hypersurface_candidates(
     variable get the restriction checked by exact substitution and carry
     True; the rest carry False rather than a guess.
     """
+    if not (isinstance(factor, RatFn) and isinstance(w, DiffForm)) or w.degree != 1:
+        raise GvError(f"the sieve needs a rational function and a 1-form, not {factor!r}, {w!r}")
     chart = factor.chart
     p = chart.characteristic
     if p == 0:
         raise GvError("hypersurface sieving is a positive-characteristic routine")
-    if w.degree != 1:
-        raise GvError("invariant hypersurfaces are sought for a 1-form")
     if w.chart != chart:
         raise ChartMismatch("the factor and the form live on different charts")
     if not _closed_identity(factor, w):
@@ -433,13 +427,18 @@ def batch_integrating_factors(
 
     Emits one JSON-ready record per instance with fields instance, outcome
     ("factor-found" or "p-closed") and certificate (the input form plus the
-    factor or the reason).  Identical seeds reproduce identical records.
+    factor or the reason).  The seed must be an int (None would seed from
+    the OS), and identical seeds reproduce identical records.
     Forms on two-variable charts are automatically integrable, so every run
     terminates in one of the two declared outcomes.
     """
     for name, value in (("count", count), ("degree", degree)):
         if type(value) is not int or value < 0:
             raise GvError(f"{name} must be a nonnegative int, not {value!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise GvError(f"the seed must be an int, not {seed!r}")
+    if not isinstance(names, Sequence):
+        raise GvError(f"variable names must be a sequence, not {names!r}")
     chart = Chart(tuple(names), p)
     rng = random.Random(seed)
     records = []

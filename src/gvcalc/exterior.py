@@ -356,6 +356,10 @@ class VectorField:
     __slots__ = ("chart", "components")
 
     def __init__(self, chart: Chart, components: Sequence) -> None:
+        if not isinstance(chart, Chart):
+            raise GvError(f"a vector field needs a Chart, not {chart!r}")
+        if not isinstance(components, Sequence):
+            raise GvError(f"vector field components must be a sequence, not {components!r}")
         if len(components) != chart.dim:
             raise GvError("one component per chart variable required")
         comps = tuple(as_ratfn(chart, c) for c in components)
@@ -462,6 +466,8 @@ def form_apply(a: DiffForm, x: VectorField) -> RatFn:
 
 def lie_derivative(x: VectorField, a) -> "DiffForm | RatFn":
     """Lie derivative along X via the homotopy formula."""
+    if not (isinstance(x, VectorField) and isinstance(a, (RatFn, DiffForm))):
+        raise GvError(f"a Lie derivative needs a field and a form or function, not {x!r}, {a!r}")
     if isinstance(a, RatFn):
         return x.apply(a)
     if a.degree == 0:

@@ -401,8 +401,8 @@ def gv_from_field(
     omega_k(X) = 0 for k > 0.  When some derivative vanishes the whole tail
     does, and the sequence is returned with the finite length declared.
     """
-    if w.degree != 1:
-        raise GvError("the defining form must be a 1-form")
+    if not isinstance(w, DiffForm) or w.degree != 1:
+        raise GvError(f"the defining form must be a 1-form, not {w!r}")
     if isinstance(upto, bool) or not isinstance(upto, int) or upto < 0:
         raise GvError("the number of derivatives must be a nonnegative integer")
     if not is_integrable(w):

@@ -1,9 +1,9 @@
 """Bad arguments at the public entry points raise typed errors.
 
 Each call below once escaped as a TypeError, AttributeError or ValueError
-from deep inside the library, or (`diff(-1)`, and a bool taken as an order
-or index) returned a wrong answer; every one must now raise a `GvError`
-subclass.
+from deep inside the library, or (`diff(-1)`, a bool taken as an order,
+index or seed, and a seed of None, which seeds from the OS) returned a
+wrong answer; every one must now raise a `GvError` subclass.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from gvcalc import (
     RatFn,
     VectorField,
     batch_integrating_factors,
+    dual_frame,
     exact_div,
     ext_d,
     finite_gv_classify,
@@ -37,7 +38,10 @@ from gvcalc import (
     gv_rescale,
     gv_shift,
     gv_verify,
+    integrating_factor,
+    invariant_hypersurface_candidates,
     is_integrable,
+    lie_derivative,
     poly_gcd,
     poly_str,
     pullback,
@@ -63,6 +67,7 @@ X = MultiPoly.var(Q, "x")
 XF = Q.var("x")
 DX = DiffForm.coordinate(Q, "x")
 FIELD3 = VectorField(F3, [F3.var("x"), F3.one()])
+DX3 = DiffForm.coordinate(F3, "x")
 OM = FormalOmega(Q, [DX])
 SUB = Substitution.normalized(Q, [1])
 SEQ = GVSequence([DX])
@@ -136,6 +141,19 @@ BAD_CALLS = {
     "is_integrable(None)": lambda: is_integrable(None),
     "flag_forms(None)": lambda: flag_forms(None),
     "flag_decompose(None)": lambda: flag_decompose(None),
+    "dual_frame(None)": lambda: dual_frame(None),
+    "dual_frame(w, 5)": lambda: dual_frame(DX3, 5),
+    "integrating_factor(None)": lambda: integrating_factor(None),
+    "integrating_factor(w, 5)": lambda: integrating_factor(DX3, 5),
+    "invariant_hypersurface_candidates(None, w)": lambda: invariant_hypersurface_candidates(None, DX3),
+    "invariant_hypersurface_candidates(f, None)": lambda: invariant_hypersurface_candidates(F3.one(), None),
+    "batch_integrating_factors(3, 1, 1, None)": lambda: batch_integrating_factors(3, 1, 1, None),
+    "batch_integrating_factors(3, 1, None)": lambda: batch_integrating_factors(3, 1, None),
+    "batch_integrating_factors(3, 1, True)": lambda: batch_integrating_factors(3, 1, True),
+    "gv_from_field(None, X, 2)": lambda: gv_from_field(None, FIELD3, 2),
+    "lie_derivative(X, None)": lambda: lie_derivative(FIELD3, None),
+    "VectorField(None, [1, 2])": lambda: VectorField(None, [1, 2]),
+    "VectorField(chart, None)": lambda: VectorField(Q, None),
 }
 
 

@@ -5,6 +5,8 @@ import json
 import random
 import re
 import signal
+from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
@@ -31,8 +33,9 @@ from gvcalc import (
     invariant_hypersurface_candidates,
     pullback,
     vf_pth_power,
+    wedge_all,
 )
-from gvcalc.charp import _closed_identity, _common_denominator
+from gvcalc.charp import _closed_identity, _common_denominator, _default_frame_functions
 
 
 def plane(p: int) -> Chart:
@@ -105,6 +108,17 @@ class TestDualFrame:
         with pytest.raises(DegenerateFrame):
             dual_frame(w, fs=[chart.var("x")])
 
+    def test_dependent_differentials_make_a_singular_matrix(self) -> None:
+        # d((xy)^2 + 1) = 2xy d(xy): no wedge is taken before the inversion,
+        # which finds the singular coefficient matrix itself
+        chart = Chart(("x", "y", "z"), 3)
+        xy = chart.var("x") * chart.var("y")
+        w = DiffForm.coordinate(chart, "z") / (chart.var("x") + 1)
+        with pytest.raises(DegenerateFrame, match="singular"):
+            dual_frame(w, fs=[xy, xy**2 + 1])
+        with pytest.raises(DegenerateFrame, match="singular"):
+            integrating_factor(w, fs=[xy, xy**2 + 1])
+
     def test_zero_form_has_no_frame(self) -> None:
         chart = plane(3)
         with pytest.raises(DegenerateFrame):
@@ -122,6 +136,53 @@ class TestDualFrame:
 
 
 F7_POWER_SHA256 = "ca9551421cfee5a261021e73efd111586dc397dd88a9f7c874c2bb093dbcec70"
+
+
+def greedy_frame_functions(w: DiffForm) -> list[RatFn]:
+    """The wedge scan the default frame once ran, with `dual_frame`'s wedge check.
+
+    Coordinates are taken in index order while the wedge with w and the
+    coordinates already taken stays nonzero.
+    """
+    chart = w.chart
+    chosen: list[RatFn] = []
+    acc = [w]
+    for name in chart.variables:
+        if len(chosen) == chart.dim - 1:
+            break
+        cand = DiffForm.coordinate(chart, name)
+        if not wedge_all(acc + [cand]).is_zero():
+            chosen.append(chart.var(name))
+            acc.append(cand)
+    if len(chosen) != chart.dim - 1 or wedge_all([d_of(f) for f in chosen] + [w]).is_zero():
+        raise DegenerateFrame("no choice of coordinates completes the form to a coframe")
+    return chosen
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_default_frame_matches_the_greedy_wedge_scan(p, dim):
+    # every zero/nonzero pattern of fractional coefficients
+    chart = Chart(("x", "y", "z", "t")[:dim], p)
+    rng = random.Random(100 * p + dim)
+
+    def const():
+        return rng.randrange(1, p) if p else Fraction(rng.randint(1, 9), rng.randint(1, 9))
+
+    def fraction():
+        num = chart.var(rng.choice(chart.variables)) * const() + rng.randrange(3)
+        return num / (chart.var(rng.choice(chart.variables)) + const())
+
+    for pattern in product((False, True), repeat=dim):
+        w = DiffForm.one_form(chart, [fraction() if on else 0 for on in pattern])
+        try:
+            expected = greedy_frame_functions(w)
+        except DegenerateFrame:
+            assert w.is_zero()
+            with pytest.raises(DegenerateFrame):
+                _default_frame_functions(w)
+            continue
+        assert _default_frame_functions(w) == expected
 
 
 class TestPthPower:
@@ -247,6 +308,14 @@ class TestIntegratingFactor:
         with pytest.raises(NotIntegrable):
             integrating_factor(w)
 
+    def test_fractional_contact_form_rejected(self) -> None:
+        # integrability is tested on the cleared form x dy + dz
+        chart = Chart(("x", "y", "z"), 5)
+        x, y = chart.var("x"), chart.var("y")
+        w = DiffForm.one_form(chart, [0, x, 1]) / (y + 1)
+        with pytest.raises(NotIntegrable):
+            integrating_factor(w)
+
     def test_characteristic_zero_rejected(self) -> None:
         chart = Chart(("x", "y"), 0)
         with pytest.raises(GvError):
@@ -256,18 +325,26 @@ class TestIntegratingFactor:
         # cleared over the product of the kernel denominators rather than
         # their lcm, this form takes seconds
         w = _probe_form(0)
-
-        def stalled(signum, frame):
-            raise TimeoutError("integrating_factor on probe form 0 took over 2 s")
-
-        previous = signal.signal(signal.SIGALRM, stalled)
-        signal.alarm(2)
-        try:
-            f = integrating_factor(w)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        f = _within(2, lambda: integrating_factor(w))
         assert ext_d(w * f).is_zero()
+
+    @pytest.mark.parametrize("i", [1, 25])
+    def test_probe_form_finishes_within_a_second(self, i) -> None:
+        # with integrability tested on RatFn coefficients these took 1.7 s
+        # and 0.6 s; form 25 is p-closed
+        w = _probe_form(i)
+
+        def factor_digest():
+            try:
+                return _digest(integrating_factor(w))
+            except PClosedCase:
+                return None
+
+        assert _within(1, factor_digest) == PROBE_FACTOR_SHA256.get(i)
+
+    @pytest.mark.parametrize("i", [0, 2, 4, 7, 8, 9, 10, 16, 18, 27])
+    def test_probe_form_factor_is_pinned(self, i) -> None:
+        assert _digest(integrating_factor(_probe_form(i))) == PROBE_FACTOR_SHA256[i]
 
     def test_closed_identity_rejects_a_non_factor(self) -> None:
         # the closedness certificate is a real identity: it holds for the
@@ -280,6 +357,42 @@ class TestIntegratingFactor:
             assert _closed_identity(f, w)
             assert not _closed_identity(f * x, w)
             assert not _closed_identity(chart.one(), w)
+
+
+# sha256 of str(integrating_factor(_probe_form(i))), captured before the
+# form was cleared once for the integrability test and the frame
+PROBE_FACTOR_SHA256 = {
+    0: "909561a36425ba2e3bac710aea5af65756d322213effda81b49d92a87b052387",
+    1: "a31210b7aff48d4950afe08d484fa40b9900aa355214a1303c55d25a6b4e755a",
+    2: "89019366ce18208e5aa29bf1f822c7fed5fd8eb8d271b357d26dafc08cf5eec0",
+    4: "8456158fefef4c39a6f9bdfb8150867b492224903c40b7f7b875704ad398b466",
+    7: "d601d3d1a3d3686edd64e42bcf98660650ded37b67239d5d99a74820257079d2",
+    8: "2759859d5f5409af5cfbcaedaae893dc03287179f190bafd3a992de352ded188",
+    9: "2a96772e33cfb1cb01558dd0852f0c58f17bcc2c5d81c1252a32bbe16ca40233",
+    10: "f102784e207c80511cc77d986a527eac68288baae84e6bce727f13616adcf4c1",
+    16: "77d171dc4ca0b9215e369b186aef593cb68ea74b5e61f6ec71895f63f82a39c8",
+    18: "b1942e672bc81b58f090a74d8c2929d2421612b0b6403c1f411e26846e6d7a09",
+    27: "63939db38c4ddde1dd933a686129cebd773983dd08f942d30c4ddaf6fd3f7518",
+}
+
+
+def _digest(f: RatFn) -> str:
+    return hashlib.sha256(str(f).encode()).hexdigest()
+
+
+def _within(seconds: int, call):
+    """call(), raising TimeoutError once it has run for `seconds`."""
+
+    def stalled(signum, frame):
+        raise TimeoutError(f"the call took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _probe_form(i: int) -> DiffForm:
