@@ -3,34 +3,37 @@
 Over a field of characteristic p > 0 every integrable rational 1-form w
 admits a rational integrating factor: a function F with d(F*w) = 0.  The
 construction is a frame computation.  Complete w to a coframe
-(df_1, ..., df_{m-1}, w) by rational functions f_i, invert the coefficient
-matrix to obtain the dual vector fields X_1, ..., X_m, and contract w
-against the p-th powers of the kernel fields X_1, ..., X_{m-1}.  The first
-nonzero contraction c = w(X_i^p) inverts to the factor F = 1/c.  When every
-contraction vanishes the kernel distribution is closed under p-th powers
-and no factor is produced here; that outcome is reported as an explicit
-error value rather than recovered by other means.
+(df_1, ..., df_{m-1}, w) by rational functions f_i, clear each row of the
+coefficient matrix to polynomials, and read the dual vector fields
+X_1, ..., X_m off its adjugate: X_j = Y_j/den_j with Y_j and den_j
+polynomial.  Contract w against the p-th powers of the kernel fields
+X_1, ..., X_{m-1}.  The first nonzero contraction c = w(X_i^p) inverts to
+the factor F = 1/c.  When every contraction vanishes the kernel
+distribution is closed under p-th powers and no factor is produced here;
+that outcome is reported as an explicit error value rather than recovered
+by other means.
 
-The contraction never forms X^p itself.  Write X = Y/den with Y a
-derivation with polynomial coefficients.  Hochschild's formula
+The contraction never forms X^p itself.  Hochschild's formula
 (fY)^p = f^p Y^p + (fY)^(p-1)(f) Y (Trans. AMS 79, 1955), with f = 1/den
-and w(Y) = den w(X) = 0, gives w(X^p) = w(Y^p) / den^p, and Y^p of each
-coordinate is iterated on polynomials.  `vf_pth_power` keeps the direct
-iteration of X on cleared numerators, over den^(2p-1).
+and w(Y) = den w(X) = 0, gives w(X^p) = w(Y^p) / den^p for the polynomial
+derivation Y of the adjugate, and Y^p of each coordinate is iterated on
+polynomials.  `vf_pth_power` keeps the direct iteration of X on cleared
+numerators, over den^(2p-1).
 
 The form is cleared once to w = W/B with W polynomial: W ^ dW = B^2 (w ^ dw)
 and W has the kernel fields of w, so integrability, frame and contractions
 run on W.  Every factor is re-checked: d(F*w) = 0 holds as a cleared
-polynomial identity (`_closed_identity`), and `dual_frame` re-checks its
-m*m duality contractions, so the output is a per-instance certificate.
+polynomial identity (`_closed_identity`), and the frame's m*m duality
+pairings are re-checked as polynomial identities on the cleared rows and
+adjugate columns, so the output is a per-instance certificate.
 """
 
 import random
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
+from itertools import islice, product
 from operator import add
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     ChartMismatch,
@@ -39,6 +42,7 @@ from .errors import (
     NotIntegrable,
     PClosedCase,
     ZeroDenominator,
+    ZeroFunction,
 )
 from .exterior import (
     DiffForm,
@@ -46,7 +50,6 @@ from .exterior import (
     _FormSum,
     d_of,
     ext_d,
-    form_apply,
     is_integrable,
     pullback,
 )
@@ -56,7 +59,6 @@ from .field import (
     RatFn,
     _cofactors,
     _drop_variable,
-    _gauss_jordan,
     as_ratfn,
     exact_div,
     squarefree_decomposition,
@@ -105,36 +107,9 @@ def _default_frame_functions(w: DiffForm) -> list[RatFn]:
     return [chart.var(name) for i, name in enumerate(chart.variables) if i != k]
 
 
-def _invert_matrix(chart: Chart, rows: list[list[RatFn]]) -> list[list[RatFn]]:
-    """Gauss-Jordan inverse of a square matrix of rational functions."""
-    m = len(rows)
-    aug = [
-        list(row) + [chart.one() if i == j else chart.zero() for j in range(m)]
-        for i, row in enumerate(rows)
-    ]
-    if len(_gauss_jordan(aug, m)) < m:
-        raise DegenerateFrame("the coframe coefficient matrix is singular")
-    return [row[m:] for row in aug]
-
-
-def dual_frame(w: DiffForm, fs: Optional[Sequence] = None) -> DualFrame:
-    """Build the vector fields dual to (df_1, ..., df_{m-1}, w).
-
-    fs defaults to every coordinate but the last one in w's support, which
-    makes the output deterministic.  A coframe with a vanishing wedge has a
-    singular matrix, whose inversion raises DegenerateFrame.  The cleared
-    form B*w in place of w changes only the last field, by 1/B.  The m*m
-    duality contractions are re-checked.  When w is integrable the kernel
-    fields commute, which these checks imply: for a 1-form a with a(X_i) and
-    a(X_j) constant, a([X_i, X_j]) = -da(X_i, X_j); each theta_k = df_k is
-    closed, and dw = w ^ eta with w(X_i) = w(X_j) = 0, so the nonzero
-    coframe annihilates [X_i, X_j].
-    """
-    if not isinstance(w, DiffForm) or w.degree != 1:
-        raise GvError(f"dual frames are built from a 1-form, not {w!r}")
+def _coframe(w: DiffForm, fs: Optional[Sequence]) -> list[DiffForm]:
+    """The coframe (df_1, ..., df_{m-1}, w), fs defaulting as in `dual_frame`."""
     chart = w.chart
-    if chart.characteristic == 0:
-        raise GvError("dual frames are a positive-characteristic construction")
     m = chart.dim
     if fs is None:
         fns = _default_frame_functions(w)
@@ -142,18 +117,7 @@ def dual_frame(w: DiffForm, fs: Optional[Sequence] = None) -> DualFrame:
         if not isinstance(fs, Sequence) or len(fs) != m - 1:
             raise GvError(f"expected a sequence of {m - 1} frame functions, not {fs!r}")
         fns = [as_ratfn(chart, f) for f in fs]
-    forms = [d_of(f) for f in fns] + [w]
-    rows = [list(a.coeffs()) for a in forms]
-    inverse = _invert_matrix(chart, rows)
-    fields = tuple(
-        VectorField(chart, [inverse[i][j] for i in range(m)]) for j in range(m)
-    )
-    for i, a in enumerate(forms):
-        for j, x in enumerate(fields):
-            expected = chart.one() if i == j else chart.zero()
-            if form_apply(a, x) != expected:
-                raise GvError("dual frame contraction failed to reproduce the identity")
-    return DualFrame(fields=fields, basis_forms=tuple(forms))
+    return [d_of(f) for f in fns] + [w]
 
 
 def _common_denominator(
@@ -168,7 +132,86 @@ def _common_denominator(
     for f in fracs:
         if not f.den.is_constant():
             den = den * _cofactors(den, f.den)[2]
-    return [f.num * exact_div(den, f.den) for f in fracs], den
+    return [f.num * (den if f.den.is_constant() else exact_div(den, f.den)) for f in fracs], den
+
+
+def _det(rows: list[list[MultiPoly]], chart: Chart) -> MultiPoly:
+    """The determinant, by cofactor expansion along the first row."""
+    if not rows:
+        return MultiPoly.const(chart, 1)
+    total = MultiPoly.zero(chart)
+    for c, a in enumerate(rows[0]):
+        if not a.is_zero():
+            term = a * _det([r[:c] + r[c + 1:] for r in rows[1:]], chart)
+            total = total - term if c % 2 else total + term
+    return total
+
+
+def _inverse_columns(
+    rows: Sequence[Sequence[RatFn]],
+) -> Iterator[tuple[list[MultiPoly], MultiPoly]]:
+    """The columns Y_j / den_j of the inverse of a square matrix, Y_j polynomial.
+
+    Row i is cleared once to R_i / l_i, so the inverse is adj(R) diag(l) / det R:
+    Y_j = l_j adj(R)[:, j] and den_j = det R, divided by the gcd of den_j
+    and the entries of Y_j.  Each column is re-checked as the polynomial
+    identities R_i . Y_j = delta_ij l_j den_j.  A zero determinant raises
+    DegenerateFrame at once; the columns are then built one at a time, so a
+    caller may stop early.
+    """
+    cleared = [_common_denominator(row) for row in rows]
+    polys = [nums for nums, _ in cleared]
+    chart = polys[0][0].chart
+    det = _det(polys, chart)
+    if det.is_zero():
+        raise DegenerateFrame("the coframe coefficient matrix is singular")
+
+    def column(j: int) -> tuple[list[MultiPoly], MultiPoly]:
+        lam = cleared[j][1]
+        others = polys[:j] + polys[j + 1:]
+        ys = [lam * _det([r[:k] + r[k + 1:] for r in others], chart) for k in range(len(polys))]
+        ys = [-y if (j + k) % 2 else y for k, y in enumerate(ys)]
+        g = den = det
+        for y in ys:
+            # an entry equal to +-den leaves the gcd as it is
+            if not (g.is_constant() or y.is_zero() or y == den or y == -den):
+                g = _cofactors(g, y)[0]
+        if not g.is_constant():
+            ys, den = [exact_div(y, g) for y in ys], exact_div(den, g)
+        for i, nums in enumerate(polys):
+            pairing = reduce(add, (n * y for n, y in zip(nums, ys)))
+            if not (pairing - lam * den if i == j else pairing).is_zero():
+                raise GvError("dual frame contraction failed to reproduce the identity")
+        return ys, den
+
+    return (column(j) for j in range(len(polys)))
+
+
+def dual_frame(w: DiffForm, fs: Optional[Sequence] = None) -> DualFrame:
+    """Build the vector fields dual to (df_1, ..., df_{m-1}, w).
+
+    fs defaults to every coordinate but the last one in w's support, which
+    makes the output deterministic.  A coframe with a vanishing wedge has a
+    singular matrix, whose zero determinant raises DegenerateFrame.  The
+    fields come from the cleared adjugate of `_inverse_columns`, which
+    re-checks the m*m duality contractions on polynomials; each component
+    is then one reduced fraction.  When w is integrable the kernel fields
+    commute, which the duality implies: for a 1-form a with a(X_i) and
+    a(X_j) constant, a([X_i, X_j]) = -da(X_i, X_j); each theta_k = df_k is
+    closed, and dw = w ^ eta with w(X_i) = w(X_j) = 0, so the nonzero
+    coframe annihilates [X_i, X_j].
+    """
+    if not isinstance(w, DiffForm) or w.degree != 1:
+        raise GvError(f"dual frames are built from a 1-form, not {w!r}")
+    chart = w.chart
+    if chart.characteristic == 0:
+        raise GvError("dual frames are a positive-characteristic construction")
+    forms = _coframe(w, fs)
+    fields = tuple(
+        VectorField(chart, [RatFn(y, den) for y in ys])
+        for ys, den in _inverse_columns([a.coeffs() for a in forms])
+    )
+    return DualFrame(fields=fields, basis_forms=tuple(forms))
 
 
 def _reduce_fraction(
@@ -295,12 +338,12 @@ def integrating_factor(w: DiffForm, fs: Optional[Sequence] = None) -> RatFn:
     integrability, and the dual frame of W has the kernel fields of w.
     Scans them in order and inverts the first nonzero contraction w(X_i^p).
     The smallest index wins, which makes the output deterministic; no
-    uniqueness is claimed.  Each contraction is w(Y^p) / den^p for X = Y/den
-    with Y polynomial, by Hochschild's formula
-    (fY)^p = f^p Y^p + (fY)^(p-1)(f) Y and w(Y) = 0.  Raises PClosedCase when
-    every contraction vanishes: the kernel distribution is then closed under
-    p-th powers and the form is proportional to an exact differential, a
-    case this routine reports rather than resolves.
+    uniqueness is claimed.  Each contraction is w(Y^p) / den^p for the
+    adjugate column X = Y/den of `_inverse_columns`, by Hochschild's
+    formula (fY)^p = f^p Y^p + (fY)^(p-1)(f) Y and w(Y) = 0.  Raises
+    PClosedCase when every contraction vanishes: the kernel distribution is
+    then closed under p-th powers and the form is proportional to an exact
+    differential, a case this routine reports rather than resolves.
     """
     if not isinstance(w, DiffForm) or w.degree != 1:
         raise GvError(f"integrating factors are sought for a 1-form, not {w!r}")
@@ -312,10 +355,10 @@ def integrating_factor(w: DiffForm, fs: Optional[Sequence] = None) -> RatFn:
     cleared = DiffForm.one_form(chart, wnums)
     if not is_integrable(cleared):
         raise NotIntegrable("the form does not satisfy w ^ dw = 0")
-    for x in dual_frame(cleared, fs).kernel_fields:
-        # X = Y/den with Y polynomial, and w(Y) = den*w(X) = 0
-        nums, den = _common_denominator(list(x.components))
-        gs = _polynomial_pth_power(nums, p)
+    columns = _inverse_columns([a.coeffs() for a in _coframe(cleared, fs)])
+    # the kernel fields X = Y/den, with Y polynomial and w(Y) = den*w(X) = 0
+    for ys, den in islice(columns, chart.dim - 1):
+        gs = _polynomial_pth_power(ys, p)
         num = reduce(add, (wn * g for wn, g in zip(wnums, gs)))
         if num.is_zero():
             continue
@@ -366,7 +409,8 @@ def invariant_hypersurface_candidates(
     the numerator and denominator of F, so each entry is squarefree and
     primitive but not certified irreducible.  Factors linear in some
     variable get the restriction checked by exact substitution and carry
-    True; the rest carry False rather than a guess.
+    True; the rest carry False rather than a guess.  The zero function
+    raises ZeroFunction: d(0*w) = 0 would pass the certificate vacuously.
     """
     if not (isinstance(factor, RatFn) and isinstance(w, DiffForm)) or w.degree != 1:
         raise GvError(f"the sieve needs a rational function and a 1-form, not {factor!r}, {w!r}")
@@ -376,6 +420,8 @@ def invariant_hypersurface_candidates(
         raise GvError("hypersurface sieving is a positive-characteristic routine")
     if w.chart != chart:
         raise ChartMismatch("the factor and the form live on different charts")
+    if factor.is_zero():
+        raise ZeroFunction("the zero function is not an integrating factor")
     if not _closed_identity(factor, w):
         raise GvError("the function is not an integrating factor of the form")
     # for coprime P/Q, d(P/Q) = 0 exactly when dP = dQ = 0
@@ -440,6 +486,9 @@ def batch_integrating_factors(
     if not isinstance(names, Sequence):
         raise GvError(f"variable names must be a sequence, not {names!r}")
     chart = Chart(tuple(names), p)
+    if chart.characteristic == 0:
+        # the coefficients are drawn from F_p, and every form needs p > 0
+        raise GvError("integrating factors are a positive-characteristic construction")
     rng = random.Random(seed)
     records = []
     for k in range(count):

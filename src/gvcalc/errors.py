@@ -28,7 +28,7 @@ class NotNormalized(GvError):
 
 
 class ZeroFunction(GvError):
-    """A gauge or rescale parameter is the zero function."""
+    """A gauge or rescale parameter, or a proposed integrating factor, is the zero function."""
 
 
 class GaugeBreaksRelations(GvError):
@@ -48,7 +48,8 @@ class GcdDegenerate(GvError):
 
 
 class DegenerateFrame(GvError):
-    """The requested dual frame does not exist (wedge of basis forms vanishes)."""
+    """The requested dual frame does not exist: the form is zero, or the
+    coframe's coefficient matrix has a zero determinant."""
 
 
 class PClosedCase(GvError):

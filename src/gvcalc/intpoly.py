@@ -207,8 +207,9 @@ def _primitive(f: dict, s: int, u: int, p: int) -> tuple[dict, dict]:
 def _gcd_terms(a: dict, b: dict, p: int) -> dict:
     """A gcd of nonzero term dicts over Z (p = 0) or F_p, normalized by `_normal`.
 
-    Primitive PRS (W. S. Brown, J. ACM 18, 1971) in the last variable that
-    occurs, with the contents in that variable taken recursively.  Over Z the
+    Primitive PRS (W. S. Brown, J. ACM 18, 1971) in the occurring variable
+    of least degree in a and b (the last such variable on a tie), with the
+    contents in that variable taken recursively.  Over Z the
     integer contents of a and b are ignored: the result is primitive.  Over Z
     it is the fallback of `_heu_gcd` and the reference its results are
     tested against; over F_p it is the only route.
@@ -224,10 +225,17 @@ def _gcd_terms(a: dict, b: dict, p: int) -> dict:
         a = {e - sa: c for e, c in a.items()}
     if sb:
         b = {e - sb: c for e, c in b.items()}
-    # the last variable that occurs has the lowest nonzero field below the degree
+    # the main variable is the occurring one of least max(deg_a, deg_b); a
+    # high degree in the main variable swells the pseudo-remainders
     d = (max(max(a), max(b)).bit_length() - 1) // W * W
     low = (reduce(or_, a) | reduce(or_, b)) & (1 << d) - 1
-    s = ((low & -low).bit_length() - 1) // W * W
+    best = None
+    for t in range(0, d, W):
+        if low >> t & MASK:
+            k = max(max(e >> t & MASK for e in a), max(e >> t & MASK for e in b))
+            # fields run from the last variable up, so ties keep the last one
+            if best is None or k < best:
+                best, s = k, t
     u = 1 << d | 1 << s
     a, ca = _primitive(a, s, u, p)
     b, cb = _primitive(b, s, u, p)

@@ -150,6 +150,7 @@ BAD_CALLS = {
     "batch_integrating_factors(3, 1, 1, None)": lambda: batch_integrating_factors(3, 1, 1, None),
     "batch_integrating_factors(3, 1, None)": lambda: batch_integrating_factors(3, 1, None),
     "batch_integrating_factors(3, 1, True)": lambda: batch_integrating_factors(3, 1, True),
+    "batch_integrating_factors(0, 1, 1)": lambda: batch_integrating_factors(0, 1, 1),
     "gv_from_field(None, X, 2)": lambda: gv_from_field(None, FIELD3, 2),
     "lie_derivative(X, None)": lambda: lie_derivative(FIELD3, None),
     "VectorField(None, [1, 2])": lambda: VectorField(None, [1, 2]),

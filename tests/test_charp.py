@@ -24,6 +24,7 @@ from gvcalc import (
     PClosedCase,
     RatFn,
     VectorField,
+    ZeroFunction,
     batch_integrating_factors,
     d_of,
     dual_frame,
@@ -36,6 +37,7 @@ from gvcalc import (
     wedge_all,
 )
 from gvcalc.charp import _closed_identity, _common_denominator, _default_frame_functions
+from gvcalc.field import _gauss_jordan
 
 
 def plane(p: int) -> Chart:
@@ -562,6 +564,52 @@ def test_factor_inverts_the_first_nonzero_pth_power_contraction(p, dim):
     assert outcomes == {"factor", "p-closed"}
 
 
+def gauss_jordan_inverse(rows: list[list[RatFn]]) -> list[list[RatFn]] | None:
+    """The inverse of a square RatFn matrix by Gauss-Jordan, None when singular."""
+    chart = rows[0][0].chart
+    m = len(rows)
+    aug = [
+        list(row) + [chart.one() if i == j else chart.zero() for j in range(m)]
+        for i, row in enumerate(rows)
+    ]
+    if len(_gauss_jordan(aug, m)) < m:
+        return None
+    return [row[m:] for row in aug]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_dual_frame_matches_a_gauss_jordan_inverse(p, dim):
+    # the fields come from the cleared adjugate; the reference inverts the
+    # coframe matrix over RatFn, and reduced fractions are canonical, so
+    # the components agree exactly and print alike
+    chart = Chart(("x", "y", "z")[:dim], p)
+    x, y = chart.var("x"), chart.var("y")
+    custom = [2 * x + y, x * y, 1 / (x + 1), x * y + y * y / (x + 1)]
+    rng = random.Random(100 * p + dim)
+    singular = 0
+    for k in range(12):
+        w = random_integrable_form(chart, rng)
+        if k % 3 == 0:
+            fs = None
+        elif dim == 2:
+            fs = [custom[k % 4]]
+        else:
+            fs = [custom[k % 4], custom[(k + 1) % 4] + chart.var("z") * (k % 2)]
+        try:
+            frame = dual_frame(w, fs)
+        except DegenerateFrame:
+            rows = [list(d_of(f).coeffs()) for f in fs] + [list(w.coeffs())]
+            assert gauss_jordan_inverse(rows) is None
+            singular += 1
+            continue
+        inverse = gauss_jordan_inverse([list(a.coeffs()) for a in frame.basis_forms])
+        for j, field in enumerate(frame.fields):
+            for i, c in enumerate(field.components):
+                assert c == inverse[i][j] and str(c) == str(inverse[i][j])
+    assert singular < 12
+
+
 PTH_POWER_MESSAGE = (
     "the integrating factor is a p-th power; its logarithmic "
     "differential vanishes and the polar sieve is empty"
@@ -664,6 +712,13 @@ class TestCandidates:
         chart = Chart(("x", "y"), 0)
         with pytest.raises(GvError):
             invariant_hypersurface_candidates(chart.var("x"), worked_form(chart))
+
+    def test_zero_function_rejected(self) -> None:
+        # d(0*w) = 0 for every w, so the closedness certificate would pass
+        for p in (2, 3):
+            chart = plane(p)
+            with pytest.raises(ZeroFunction):
+                invariant_hypersurface_candidates(chart.zero(), worked_form(chart))
 
 
 class TestBatch:

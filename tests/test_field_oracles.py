@@ -1054,3 +1054,87 @@ def test_heuristic_cofactors_where_the_prs_swells(factors, monkeypatch):
     a, b, c = (MultiPoly(chart, f) for f in factors)
     assert len((a * c).terms) in range(8, 13) and len((b * c).terms) in range(8, 13)
     check_cofactors(a * c, b * c)
+
+
+# The first gcd that ran past 10 s on probe form 22 of `test_charp.py` (F_5):
+# a 272-term numerator of its integrating factor, of degrees (6, 8, 17) in
+# (x, y, z), against the 17-term denominator of its kernel field, of degrees
+# (2, 3, 5).  The two are coprime.  The PRS in z, the last variable, ran past
+# 30 s; in x, the variable of least degree, it takes about 0.1 s.  Each term
+# is (exponent of x, of y, of z, coefficient).
+PROBE22_NUMERATOR = [
+    (6, 2, 0, 4), (6, 1, 1, 3), (6, 0, 2, 4), (5, 7, 0, 1), (5, 6, 1, 2), (5, 6, 0, 4),
+    (5, 5, 2, 1), (5, 5, 1, 4), (5, 5, 0, 3), (5, 4, 0, 4), (5, 3, 1, 1), (5, 2, 5, 1),
+    (5, 2, 2, 3), (5, 1, 6, 2), (5, 1, 5, 4), (5, 1, 3, 4), (5, 0, 7, 1), (5, 0, 6, 4),
+    (5, 0, 5, 3), (5, 0, 4, 3), (4, 8, 0, 4), (4, 7, 1, 2), (4, 7, 0, 2), (4, 6, 2, 2),
+    (4, 6, 1, 4), (4, 6, 0, 3), (4, 5, 3, 4), (4, 5, 2, 2), (4, 5, 1, 3), (4, 5, 0, 1),
+    (4, 4, 0, 4), (4, 3, 5, 4), (4, 3, 1, 1), (4, 2, 6, 2), (4, 2, 5, 2), (4, 2, 2, 4),
+    (4, 1, 7, 2), (4, 1, 6, 4), (4, 1, 5, 3), (4, 1, 3, 1), (4, 0, 8, 4), (4, 0, 7, 2),
+    (4, 0, 6, 3), (4, 0, 5, 1), (4, 0, 4, 4), (3, 8, 2, 1), (3, 8, 0, 4), (3, 7, 3, 3),
+    (3, 7, 2, 3), (3, 7, 1, 2), (3, 7, 0, 3), (3, 6, 4, 3), (3, 6, 3, 1), (3, 6, 2, 4),
+    (3, 6, 1, 1), (3, 6, 0, 4), (3, 5, 5, 1), (3, 5, 4, 3), (3, 5, 3, 1), (3, 5, 2, 2),
+    (3, 5, 1, 4), (3, 5, 0, 2), (3, 4, 2, 1), (3, 4, 0, 2), (3, 3, 7, 1), (3, 3, 5, 4),
+    (3, 3, 3, 4), (3, 3, 1, 3), (3, 2, 8, 3), (3, 2, 7, 3), (3, 2, 6, 2), (3, 2, 5, 3),
+    (3, 2, 4, 1), (3, 2, 2, 2), (3, 1, 9, 3), (3, 1, 8, 1), (3, 1, 7, 4), (3, 1, 6, 1),
+    (3, 1, 5, 3), (3, 1, 3, 3), (3, 0, 10, 1), (3, 0, 9, 3), (3, 0, 8, 1), (3, 0, 7, 2),
+    (3, 0, 5, 2), (3, 0, 4, 2), (2, 8, 4, 4), (2, 8, 2, 2), (2, 8, 0, 3), (2, 7, 5, 2),
+    (2, 7, 4, 2), (2, 7, 3, 1), (2, 7, 2, 4), (2, 7, 1, 4), (2, 7, 0, 3), (2, 6, 6, 2),
+    (2, 6, 5, 4), (2, 6, 4, 4), (2, 6, 3, 3), (2, 6, 2, 1), (2, 6, 1, 1), (2, 6, 0, 3),
+    (2, 5, 7, 4), (2, 5, 6, 2), (2, 5, 2, 4), (2, 5, 1, 3), (2, 5, 0, 3), (2, 4, 4, 4),
+    (2, 4, 2, 1), (2, 4, 0, 3), (2, 3, 9, 4), (2, 3, 7, 2), (2, 3, 5, 4), (2, 3, 3, 4),
+    (2, 3, 1, 2), (2, 2, 10, 2), (2, 2, 9, 2), (2, 2, 8, 1), (2, 2, 7, 4), (2, 2, 6, 3),
+    (2, 2, 5, 3), (2, 2, 4, 1), (2, 2, 2, 3), (2, 1, 11, 2), (2, 1, 10, 4), (2, 1, 9, 4),
+    (2, 1, 8, 3), (2, 1, 7, 2), (2, 1, 6, 1), (2, 1, 5, 2), (2, 1, 3, 2), (2, 0, 12, 4),
+    (2, 0, 11, 2), (2, 0, 8, 4), (2, 0, 7, 4), (2, 0, 6, 4), (2, 0, 5, 3), (2, 0, 4, 3),
+    (1, 8, 6, 1), (1, 8, 4, 2), (1, 8, 2, 1), (1, 8, 0, 4), (1, 7, 7, 3), (1, 7, 6, 3),
+    (1, 7, 5, 1), (1, 7, 4, 4), (1, 7, 3, 3), (1, 7, 2, 1), (1, 7, 1, 2), (1, 7, 0, 1),
+    (1, 6, 8, 3), (1, 6, 7, 1), (1, 6, 6, 3), (1, 6, 5, 3), (1, 6, 3, 2), (1, 6, 2, 3),
+    (1, 6, 1, 2), (1, 5, 9, 1), (1, 5, 8, 3), (1, 5, 7, 4), (1, 5, 6, 3), (1, 5, 5, 3),
+    (1, 5, 4, 2), (1, 5, 2, 2), (1, 4, 6, 1), (1, 4, 4, 1), (1, 4, 2, 1), (1, 3, 11, 1),
+    (1, 3, 9, 2), (1, 3, 5, 3), (1, 3, 3, 4), (1, 3, 0, 1), (1, 2, 12, 3), (1, 2, 11, 3),
+    (1, 2, 9, 4), (1, 2, 8, 4), (1, 2, 7, 1), (1, 2, 6, 3), (1, 2, 5, 1), (1, 2, 4, 1),
+    (1, 2, 1, 3), (1, 2, 0, 4), (1, 1, 13, 3), (1, 1, 12, 1), (1, 1, 11, 1), (1, 1, 10, 3),
+    (1, 1, 9, 4), (1, 1, 8, 2), (1, 1, 7, 2), (1, 1, 6, 2), (1, 1, 5, 4), (1, 1, 2, 3),
+    (1, 1, 1, 3), (1, 0, 14, 1), (1, 0, 13, 3), (1, 0, 12, 3), (1, 0, 11, 3), (1, 0, 10, 4),
+    (1, 0, 9, 2), (1, 0, 8, 1), (1, 0, 7, 2), (1, 0, 6, 1), (1, 0, 3, 1), (1, 0, 2, 4),
+    (0, 8, 8, 4), (0, 8, 6, 4), (0, 8, 4, 3), (0, 8, 2, 4), (0, 7, 10, 1), (0, 7, 9, 2),
+    (0, 7, 8, 2), (0, 7, 7, 2), (0, 7, 6, 3), (0, 7, 5, 4), (0, 7, 4, 3), (0, 7, 3, 2),
+    (0, 7, 2, 1), (0, 6, 11, 2), (0, 6, 10, 1), (0, 6, 9, 4), (0, 6, 7, 1), (0, 6, 6, 3),
+    (0, 6, 5, 1), (0, 6, 3, 2), (0, 5, 12, 1), (0, 5, 11, 3), (0, 5, 9, 2), (0, 5, 8, 4),
+    (0, 5, 7, 2), (0, 5, 5, 2), (0, 5, 4, 4), (0, 4, 10, 4), (0, 4, 8, 4), (0, 4, 6, 2),
+    (0, 4, 4, 3), (0, 3, 13, 4), (0, 3, 9, 4), (0, 3, 7, 2), (0, 3, 5, 2), (0, 3, 2, 1),
+    (0, 2, 15, 1), (0, 2, 14, 2), (0, 2, 13, 2), (0, 2, 11, 3), (0, 2, 10, 3), (0, 2, 9, 3),
+    (0, 2, 8, 4), (0, 2, 7, 1), (0, 2, 6, 3), (0, 2, 3, 3), (0, 2, 2, 4), (0, 1, 16, 2),
+    (0, 1, 15, 1), (0, 1, 14, 4), (0, 1, 13, 4), (0, 1, 12, 1), (0, 1, 11, 4), (0, 1, 10, 1),
+    (0, 1, 9, 3), (0, 1, 8, 2), (0, 1, 7, 2), (0, 1, 4, 3), (0, 1, 3, 3), (0, 0, 17, 1),
+    (0, 0, 16, 3), (0, 0, 13, 4), (0, 0, 12, 1), (0, 0, 10, 4), (0, 0, 9, 4), (0, 0, 8, 3),
+    (0, 0, 5, 1), (0, 0, 4, 4),
+]
+
+PROBE22_DENOMINATOR = [
+    (2, 0, 0, 2), (1, 2, 1, 1), (1, 1, 2, 2), (1, 0, 3, 1), (1, 0, 2, 4), (1, 0, 0, 1),
+    (0, 3, 1, 4), (0, 2, 3, 1), (0, 2, 2, 2), (0, 2, 1, 1), (0, 1, 4, 2), (0, 1, 3, 2),
+    (0, 1, 2, 2), (0, 0, 5, 1), (0, 0, 4, 1), (0, 0, 3, 1), (0, 0, 2, 1),
+]
+
+
+def test_f5_gcd_runs_in_the_variable_of_least_degree():
+    def stalled(signum, frame):
+        raise TimeoutError("the probe form 22 gcd took over 2 s")
+
+    for p in (5, 0):
+        chart = Chart(VARIABLES, p)
+        a, b = (
+            MultiPoly(chart, {t[:3]: t[3] for t in terms})
+            for terms in (PROBE22_NUMERATOR, PROBE22_DENOMINATOR)
+        )
+        assert (len(a.terms), len(b.terms)) == (272, 17)
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.alarm(2)
+        try:
+            # over Q the heuristic gcd answers before the PRS
+            g = poly_gcd(a, b)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert g == MultiPoly.const(chart, 1)
