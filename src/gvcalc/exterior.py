@@ -22,10 +22,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import ChartMismatch, GvError, ZeroFunction
-from .field import Chart, RatFn, _UNIT, _coerce, _one, _over_one, _reduced, as_ratfn
+from .field import Chart, MultiPoly, RatFn, _UNIT, _coerce, _one, _over_one, _reduced, as_ratfn
 from .intpoly import _diff_terms, _mul_terms, _times, _var
 
 
@@ -35,8 +35,11 @@ class DiffForm:
     __slots__ = ("chart", "degree", "terms")
 
     def __init__(self, chart: Chart, degree: int, terms: dict) -> None:
+        _require_chart(chart, "a form")
         if type(degree) is not int:
             raise GvError(f"form degree must be an int, not {degree!r}")
+        if not isinstance(terms, Mapping):
+            raise GvError(f"form terms must be a mapping, not {terms!r}")
         if degree < 0 or degree > chart.dim:
             if degree < 0:
                 raise GvError("form degree must be nonnegative")
@@ -44,11 +47,14 @@ class DiffForm:
             terms = {}
         clean: dict[tuple[int, ...], RatFn] = {}
         for idx, c in terms.items():
-            idx = tuple(idx)
+            idx = _index(idx)
             if len(idx) != degree:
                 raise GvError(f"index {idx} does not match degree {degree}")
-            if any(not (0 <= i < chart.dim) for i in idx):
-                raise GvError(f"index {idx} out of range for chart")
+            if any(
+                isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < chart.dim
+                for i in idx
+            ):
+                raise GvError(f"index {idx} must hold variable positions of the chart")
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise GvError(f"index {idx} must be strictly increasing")
             c = as_ratfn(chart, c)
@@ -78,15 +84,21 @@ class DiffForm:
 
     @classmethod
     def from_function(cls, f: RatFn) -> "DiffForm":
+        if not isinstance(f, (RatFn, MultiPoly)):
+            raise GvError(f"a 0-form needs a rational function, not {f!r}")
         return cls(f.chart, 0, {(): f})
 
     @classmethod
     def coordinate(cls, chart: Chart, name: str) -> "DiffForm":
         """The 1-form d(x) for a chart variable x."""
+        _require_chart(chart, "a coordinate form")
         return cls(chart, 1, {(chart.index(name),): chart.one()})
 
     @classmethod
     def one_form(cls, chart: Chart, coeffs: Sequence) -> "DiffForm":
+        _require_chart(chart, "a 1-form")
+        if not isinstance(coeffs, Sequence):
+            raise GvError(f"1-form coefficients must be a sequence, not {coeffs!r}")
         if len(coeffs) != chart.dim:
             raise GvError("one coefficient per chart variable required")
         return cls(chart, 1, {(i,): c for i, c in enumerate(coeffs)})
@@ -97,11 +109,7 @@ class DiffForm:
         return not self.terms
 
     def coeff(self, idx: Sequence[int]) -> RatFn:
-        try:
-            idx = tuple(idx)
-        except TypeError:
-            raise GvError(f"a form index must be a sequence of ints, not {idx!r}") from None
-        return self.terms.get(idx, self.chart.zero())
+        return self.terms.get(_index(idx), self.chart.zero())
 
     def coeffs(self) -> tuple[RatFn, ...]:
         """Coefficient vector of a 1-form in chart order."""
@@ -182,6 +190,19 @@ class DiffForm:
 
 
 _set_chart, _set_degree, _set_terms = (DiffForm.__dict__[n].__set__ for n in DiffForm.__slots__)
+
+
+def _require_chart(chart, owner: str) -> None:
+    if not isinstance(chart, Chart):
+        raise GvError(f"{owner} needs a Chart, not {chart!r}")
+
+
+def _index(idx) -> tuple:
+    """A form index as a tuple; anything that is not a sequence raises GvError."""
+    try:
+        return tuple(idx)
+    except TypeError:
+        raise GvError(f"a form index must be a sequence of ints, not {idx!r}") from None
 
 
 def _collect(chart: Chart, degree: int, pairs: Iterable) -> DiffForm:
@@ -356,8 +377,7 @@ class VectorField:
     __slots__ = ("chart", "components")
 
     def __init__(self, chart: Chart, components: Sequence) -> None:
-        if not isinstance(chart, Chart):
-            raise GvError(f"a vector field needs a Chart, not {chart!r}")
+        _require_chart(chart, "a vector field")
         if not isinstance(components, Sequence):
             raise GvError(f"vector field components must be a sequence, not {components!r}")
         if len(components) != chart.dim:
@@ -371,6 +391,7 @@ class VectorField:
 
     @classmethod
     def coordinate(cls, chart: Chart, name: str) -> "VectorField":
+        _require_chart(chart, "a coordinate field")
         comps = [chart.zero()] * chart.dim
         comps[chart.index(name)] = chart.one()
         return cls(chart, comps)
@@ -420,6 +441,8 @@ class VectorField:
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """Lie bracket [X, Y]."""
+        if not isinstance(other, VectorField):
+            raise GvError(f"a Lie bracket needs two vector fields, not {other!r}")
         if self.chart != other.chart:
             raise ChartMismatch("vector fields on different charts")
         comps = [
@@ -523,6 +546,8 @@ def pullback(phi: Sequence[RatFn], a: DiffForm) -> DiffForm:
 
 def form_str(a: DiffForm) -> str:
     """Canonical printing: index tuples in lexicographic order."""
+    if not isinstance(a, DiffForm):
+        raise GvError(f"form_str needs a form, not {a!r}")
     if a.is_zero():
         return "0"
     names = a.chart.variables

@@ -458,26 +458,23 @@ def gv_rescale(s: GVSequence, f) -> GVSequence:
     (the tail is re-trimmed, since df/f may create or destroy an entry).
     """
     _require_sequence(s)
-    chart = s.chart
-    f = as_ratfn(chart, f)
+    f = as_ratfn(s.chart, f)
     if f.is_zero():
         raise ZeroFunction("cannot rescale by the zero function")
-    width = s.stored
-    if s.is_finite:
-        width = max(width, 2)
-    out: list[DiffForm] = []
+    if not s.is_finite:
+        return GVSequence(_rescaled(s.forms, f))
+    out = _rescaled([s.omega(k) for k in range(max(s.stored, 2))], f)
+    return GVSequence(out, len(out)).trimmed()
+
+
+def _rescaled(forms: Sequence[DiffForm], f: RatFn) -> list[DiffForm]:
+    """The entries (w_0/f, w_1 + df/f, f*w_2, ..., f^(k-1)*w_k) for a nonzero f."""
     finv = f.inv()
-    for k in range(width):
-        wk = s.omega(k)
-        if k == 0:
-            out.append(wk * finv)
-        elif k == 1:
-            out.append(wk + ext_d(f) * finv)
-        else:
-            out.append(wk * f ** (k - 1))
-    if s.is_finite:
-        return GVSequence(out, len(out)).trimmed()
-    return GVSequence(out)
+    out = [forms[0] * finv]
+    if len(forms) > 1:
+        out.append(forms[1] + ext_d(f) * finv)
+    out.extend(w * f ** (k - 1) for k, w in enumerate(forms[2:], start=2))
+    return out
 
 
 def gv_shift(s: GVSequence, f, order: int = 1) -> GVSequence:
@@ -567,6 +564,8 @@ def flag_decompose(
     _require_sequence(s)
     if flag is None:
         flag = flag_forms(s)
+    elif not isinstance(flag, FlagReport):
+        raise GvError(f"expected a FlagReport, not {flag!r}")
     n = flag.n
     target = s.omega(n)
     coeffs: list[RatFn] = []
@@ -662,8 +661,9 @@ def finite_gv_verify(s: GVSequence) -> FiniteGVReport:
     return FiniteGVReport(n, tuple(wedge_bad), tuple(rel_bad))
 
 
-def _verified_order(s: GVSequence, analysis: str) -> int:
-    """The order N of a sequence passing `finite_gv_verify`; N >= 3."""
+def _verified_order(s: GVSequence, analysis: str) -> tuple[int, GVSequence]:
+    """The order N >= 3 of a sequence passing `finite_gv_verify`, and the
+    sequence trimmed to its last nonzero entry."""
     report = finite_gv_verify(s)
     if not report.ok:
         raise GvError(
@@ -673,7 +673,7 @@ def _verified_order(s: GVSequence, analysis: str) -> int:
         )
     if report.order < 3:
         raise GvError(f"{analysis} needs order at least 3")
-    return report.order
+    return report.order, s.trimmed()
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +696,7 @@ def _normalized_columns(t: GVSequence, n: int) -> tuple[list[DiffForm], RatFn]:
     # rescale the transverse coordinate by g, then translate it by one unit:
     # wt_j = sum_{k>=j} (-1)^(k-j) r_k / (j! (k-j)!), summed with the integer
     # weights (-1)^(k-j) n!/(j! (k-j)!) and scaled by 1/n! once
-    r = gv_rescale(t, g).forms
+    r = _rescaled(t.forms, g)
     unit = DiffForm._raw(chart, 0, {(): chart.one()})
     nf = math.factorial(n)
     wt: list[DiffForm] = []
@@ -782,9 +782,8 @@ def finite_gv_classify(
     expresses the remaining lower columns as multiples g_k of the top one,
     and branches on the kernel multipliers g_k.
     """
-    n = _verified_order(s, "classification")
+    n, t = _verified_order(s, "classification")
     chart = s.chart
-    t = s.trimmed()
     top = t.forms[n]
 
     # When the subleading entry already vanishes, omega_1 itself is closed
@@ -794,10 +793,8 @@ def finite_gv_classify(
             s, t.forms[0], t.forms[1], "subleading-vanishes"
         )
 
-    wt, _scale = _normalized_columns(t, n)
-    omega0 = DiffForm.zero(chart, 1)
-    for c in wt:
-        omega0 = omega0 + c
+    wt, scale = _normalized_columns(t, n)
+    omega0 = t.forms[0] / scale
 
     lower = _lower_indices(n)
     gk: dict[int, RatFn] = {}
@@ -898,21 +895,6 @@ def _express_in_powers(
     return coeffs
 
 
-def _poly_in_vars(
-    chart: Chart, coeffs_u: Sequence[Fraction], zexp: int
-) -> RatFn:
-    """The polynomial (sum coeffs_u[i] u^i) * z^zexp on a (u, z) chart."""
-    u = chart.var("u")
-    z = chart.var("z")
-    acc = chart.zero()
-    upow = chart.one()
-    for c in coeffs_u:
-        if c != 0:
-            acc = acc + upow * c
-        upow = upow * u
-    return acc * z**zexp
-
-
 def finite_gv_pullback(
     s: GVSequence, witness, degree: int
 ) -> PullbackReport:
@@ -929,7 +911,7 @@ def finite_gv_pullback(
     degree in the witness (try a larger bound), and GcdDegenerate when the
     exponent bookkeeping collapses.
     """
-    n = _verified_order(s, "pullback analysis")
+    n, t = _verified_order(s, "pullback analysis")
     if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
         raise GvError("the degree bound must be a nonnegative integer")
     chart = s.chart
@@ -938,7 +920,6 @@ def finite_gv_pullback(
     if omega.is_zero():
         raise GvError("the witness must be nonconstant")
 
-    t = s.trimmed()
     if t.forms[n - 1].is_zero():
         raise GvError(
             "the subleading coefficient vanishes, so the defining form is "
@@ -977,12 +958,13 @@ def finite_gv_pullback(
     if ffun is None:
         raise GvError("slope form is not a multiple of the witness differential")
 
-    fcoeffs = _express_in_powers(ffun, gfun, degree)
-    if fcoeffs is None:
+    # the u-coefficients of P(u, z) by power of z: the slope at z^1 and
+    # level k at z^((k-1)/r + 1), so no power is written twice
+    zpowers = {1: _express_in_powers(ffun, gfun, degree)}
+    if zpowers[1] is None:
         raise NotExpressible(
             "slope coefficient is not polynomial of the given degree in the witness"
         )
-    qcoeffs: dict[int, list[Fraction]] = {}
     for k in ks:
         step = (k - 1) // r
         if step * r != k - 1:
@@ -994,13 +976,13 @@ def finite_gv_pullback(
                 f"coefficient at level {k} is not polynomial of the given "
                 "degree in the witness"
             )
-        qcoeffs[k] = sol
+        zpowers[step + 1] = sol
 
     curve = Chart(("u", "z"), 0)
-    pz = _poly_in_vars(curve, fcoeffs, 1)
-    for k in ks:
-        pz = pz + _poly_in_vars(curve, qcoeffs[k], (k - 1) // r + 1)
-    pz = pz * r
+    pz = MultiPoly(
+        curve,
+        {(i, e): r * c for e, cs in zpowers.items() for i, c in enumerate(cs)},
+    )
     target = DiffForm.one_form(curve, [pz, curve.one()])
 
     pulled = pullback([gfun, hfun], target)

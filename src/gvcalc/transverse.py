@@ -52,7 +52,7 @@ def _check_form(w: DiffForm, chart: Chart, slot: str) -> None:
     if not isinstance(w, DiffForm) or w.degree != 1:
         raise GvError(f"{slot} must be a 1-form")
     if w.chart != chart:
-        raise ChartMismatch("triple entries live on different charts")
+        raise ChartMismatch(f"{slot} lives on a different chart")
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,9 @@ def classify_structure(
     """
     if not isinstance(w0, DiffForm) or w0.degree != 1:
         raise GvError("w0 must be a 1-form")
+    for w, slot in ((w1, "w1"), (w2, "w2")):
+        if w is not None:
+            _check_form(w, w0.chart, slot)
     if w0.is_zero():
         raise ZeroFunction("w0 must be nonzero")
     if ext_d(w0).is_zero():

@@ -21,6 +21,7 @@ from gvcalc import (
     RatFn,
     VectorField,
     batch_integrating_factors,
+    classify_structure,
     dual_frame,
     exact_div,
     ext_d,
@@ -33,6 +34,7 @@ from gvcalc import (
     Substitution,
     Triple,
     form_apply,
+    form_str,
     gv_from_field,
     gv_invariant,
     gv_rescale,
@@ -155,6 +157,22 @@ BAD_CALLS = {
     "lie_derivative(X, None)": lambda: lie_derivative(FIELD3, None),
     "VectorField(None, [1, 2])": lambda: VectorField(None, [1, 2]),
     "VectorField(chart, None)": lambda: VectorField(Q, None),
+    "DiffForm(None, 1, {})": lambda: DiffForm(None, 1, {}),
+    "DiffForm(chart, 1, None)": lambda: DiffForm(Q, 1, None),
+    "DiffForm(chart, 1, {0: 1})": lambda: DiffForm(Q, 1, {0: 1}),
+    "DiffForm(chart, 1, {('x',): 1})": lambda: DiffForm(Q, 1, {("x",): 1}),
+    "DiffForm.one_form(chart, None)": lambda: DiffForm.one_form(Q, None),
+    "DiffForm.one_form(None, [1, 2])": lambda: DiffForm.one_form(None, [1, 2]),
+    "DiffForm.zero(None, 1)": lambda: DiffForm.zero(None, 1),
+    "DiffForm.from_function(None)": lambda: DiffForm.from_function(None),
+    "DiffForm.coordinate(None, 'x')": lambda: DiffForm.coordinate(None, "x"),
+    "form_str(None)": lambda: form_str(None),
+    "VectorField.bracket(None)": lambda: FIELD3.bracket(None),
+    "VectorField.coordinate(None, 'x')": lambda: VectorField.coordinate(None, "x"),
+    "flag_decompose(s, 'x')": lambda: flag_decompose(CUBIC, "x"),
+    # a 2-form and a str as w1/w2 once classified as "none" and "euclidean"
+    "classify_structure(dz + z du, du^dz)": lambda: classify_structure(DZ + DU * Z, wedge(DU, DZ)),
+    "classify_structure(dz, 'x')": lambda: classify_structure(DZ, "x"),
 }
 
 

@@ -13,11 +13,19 @@ unshifted sequences (as built in `test_gv.py`), and the same sequences with
 one entry perturbed so that relations fail at k = 0, at 1 <= k < N and at
 k = N.  The normalized columns of `_normalized_columns` are checked against
 the identities its docstring promises.
+
+The analysis of `finite_gv_classify` and `finite_gv_pullback` rescales with
+`gv._rescaled`, takes omega_0/scale as the sum of the normalized columns,
+and builds P(u, z) as one polynomial.  Its columns, scale, omega_0 and
+pullback form are compared with the routes they replaced: the whole rescaled
+`GVSequence` of `gv_rescale`, the column sum, and P(u, z) summed level by
+level with `_poly_in_vars`.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -26,17 +34,32 @@ from hypothesis import strategies as st
 
 from gvcalc import (
     Chart,
+    ClosedKernelWitness,
     DiffForm,
     FiniteGVReport,
     GVSequence,
+    GcdDegenerate,
+    GvError,
     MultiPoly,
+    NotExpressible,
     RatFn,
     ext_d,
+    finite_gv_classify,
+    finite_gv_pullback,
     finite_gv_verify,
     form_ratio,
+    gv_rescale,
+    pullback,
     wedge,
 )
-from gvcalc.gv import _normalized_columns
+from gvcalc.gv import (
+    _dlog,
+    _express_in_powers,
+    _gcd_combination,
+    _lower_indices,
+    _normalized_columns,
+    _rescaled,
+)
 from test_gv import curve_chart, curve_sequence, unshift
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -77,6 +100,82 @@ def old_form_ratio(a: DiffForm, b: DiffForm):
         return None
     q = q / b.terms[idx]
     return q if a == b * q else None
+
+
+def old_normalized_columns(t: GVSequence, n: int) -> tuple[list[DiffForm], RatFn]:
+    """Rescale the whole sequence with `gv_rescale`, then translate by one unit."""
+    g = form_ratio(t.forms[n - 1], t.forms[n])
+    r = gv_rescale(t, g).forms
+    wt = []
+    for j in range(n + 1):
+        acc = DiffForm.zero(t.chart, 1)
+        for k in range(j, n + 1):
+            acc = acc + r[k] * Fraction((-1) ** (k - j), math.factorial(j) * math.factorial(k - j))
+        wt.append(acc)
+    return wt, g
+
+
+def old_omega0(wt: list[DiffForm]) -> DiffForm:
+    """omega_0 / scale as the sum of the normalized columns."""
+    total = DiffForm.zero(wt[0].chart, 1)
+    for c in wt:
+        total = total + c
+    return total
+
+
+def old_poly_in_vars(chart: Chart, coeffs_u, zexp: int) -> RatFn:
+    """The polynomial (sum coeffs_u[i] u^i) * z^zexp on a (u, z) chart."""
+    u, z = chart.var("u"), chart.var("z")
+    acc = chart.zero()
+    upow = chart.one()
+    for c in coeffs_u:
+        if c != 0:
+            acc = acc + upow * c
+        upow = upow * u
+    return acc * z**zexp
+
+
+def old_pullback_form(s: GVSequence, witness: RatFn, degree: int) -> DiffForm:
+    """The form dz + P(u, z) du of `finite_gv_pullback`, through the old
+    normalization and with P summed level by level; raises the same error types."""
+    t = s.trimmed()
+    n = t.last_index
+    wt, _ = old_normalized_columns(t, n)
+    omega = ext_d(witness)
+    if not wedge(omega, wt[n]).is_zero():
+        raise GvError("witness differential is not tangent to the top column")
+    hk = {n: form_ratio(wt[n], omega)}
+    for k in _lower_indices(n):
+        q = form_ratio(wt[k], omega)
+        if q is None:
+            raise GcdDegenerate(f"column {k}")
+        if not q.is_zero():
+            hk[k] = q
+    ks = sorted(hk)
+    r, bezout = _gcd_combination([k - 1 for k in ks])
+    hfun = s.chart.one()
+    dlog_h = DiffForm.zero(s.chart, 1)
+    for k, nk in zip(ks, bezout):
+        if nk:
+            hfun = hfun * hk[k] ** nk
+            dlog_h = dlog_h + _dlog(hk[k]) * nk
+    ffun = form_ratio(wt[1] - dlog_h * Fraction(1, r), omega)
+    if ffun is None:
+        raise GvError("slope form")
+    fcoeffs = _express_in_powers(ffun, witness, degree)
+    if fcoeffs is None:
+        raise NotExpressible("slope")
+    curve = Chart(("u", "z"), 0)
+    pz = old_poly_in_vars(curve, fcoeffs, 1)
+    for k in ks:
+        step = (k - 1) // r
+        if step * r != k - 1:
+            raise GcdDegenerate(f"exponent {k - 1}")
+        sol = _express_in_powers(hk[k] / hfun**step, witness, degree)
+        if sol is None:
+            raise NotExpressible(f"level {k}")
+        pz = pz + old_poly_in_vars(curve, sol, step + 1)
+    return DiffForm.one_form(curve, [pz * r, curve.one()])
 
 
 # -- sequences -------------------------------------------------------------------------
@@ -297,3 +396,103 @@ def test_normalization_kills_the_subleading_column(s):
     assert total == t.forms[0] / scale
     # plain columns: the top one is r_n / n! for the rescaled entry r_n = g^(n-1) w_n
     assert wt[n] == t.forms[n] * (scale ** (n - 1) / math.factorial(n))
+
+
+# -- the normalized view against the replaced routes ---------------------------------------
+
+
+def _pullback_outcome(route, s: GVSequence, witness: RatFn, degree: int):
+    """The form a pullback route presents, or the type of the error it raises."""
+    try:
+        return route(s, witness, degree)
+    except GvError as err:
+        return type(err)
+
+
+def _check_normalized_view(s: GVSequence, witness: RatFn) -> None:
+    t = s.trimmed()
+    n = t.last_index
+    assume(not t.forms[n - 1].is_zero())
+    wt, scale = _normalized_columns(t, n)
+    old_wt, old_scale = old_normalized_columns(t, n)
+    assert wt == old_wt
+    assert scale == old_scale
+    assert t.forms[0] / scale == old_omega0(old_wt)
+    new = _pullback_outcome(lambda *a: finite_gv_pullback(*a).form, s, witness, 2)
+    assert new == _pullback_outcome(old_pullback_form, s, witness, 2)
+
+
+@settings(SETTINGS, max_examples=20)
+@given(curve_sequences(orders=(3, 4, 5)))
+def test_normalized_view_matches_the_old_routes_on_curve_sequences(s):
+    outcome = finite_gv_classify(s)
+    u = s.chart.var("u")
+    witness = outcome.function if isinstance(outcome, ClosedKernelWitness) else u
+    _check_normalized_view(s, witness)
+
+
+@SETTINGS
+@given(unshifted_sequences())
+def test_normalized_view_matches_the_old_routes_on_unshifted_sequences(s):
+    _check_normalized_view(s, s.chart.var("x"))
+
+
+def test_pullback_form_of_a_ramified_unshifted_sequence():
+    """r = 2: P(u, z) has the slope at z and levels 3, 5 at z^2, z^3."""
+    xy = Chart(("x", "y"), 0)
+    x, y = xy.var("x"), xy.var("y")
+    dx, dy = DiffForm.coordinate(xy, "x"), DiffForm.coordinate(xy, "y")
+    zero = DiffForm.zero(xy, 1)
+    s = unshift([zero, dx * x + dy / (2 * y), zero, dx * y, zero, dx * y**2])
+    report = finite_gv_pullback(s, x, 2)
+    assert report.ramification == 2
+    assert str(report.form) == "(2*z^3 + 2*u*z + 2*z^2)*du + (1)*dz"
+    assert report.form == old_pullback_form(s, x, 2)
+    assert pullback(list(report.mapping), report.form) == s.forms[0] * report.cofactor
+
+
+# -- _rescaled --------------------------------------------------------------------------
+
+XY = Chart(("x", "y"), 0)
+
+
+@st.composite
+def rescale_inputs(draw):
+    """(sequence, f): 1 to 4 random 1-forms on (x, y), declared finite or not, f nonzero."""
+    forms = draw(st.lists(field_forms(XY, 1), min_size=1, max_size=4))
+    assume(not forms[0].is_zero())
+    declared = draw(st.booleans())
+    s = GVSequence(forms, len(forms)) if declared else GVSequence(forms)
+    return s, draw(nonzero_ratfns(XY))
+
+
+@SETTINGS
+@given(rescale_inputs())
+def test_rescaled_gives_the_entries_of_gv_rescale(case):
+    s, f = case
+    out = gv_rescale(s, f)
+    if not s.is_finite:
+        assert out.forms == tuple(_rescaled(s.forms, f))
+        return
+    # a declared sequence is zero past its entries, so w_1 may be a stored zero
+    padded = list(s.forms) + [DiffForm.zero(XY, 1)]
+    expected = _rescaled(padded, f)
+    assert [out.omega(k) for k in range(len(expected))] == expected
+
+
+@pytest.mark.parametrize("length", [1, 2])
+@pytest.mark.parametrize("declared", [False, True])
+def test_rescaled_on_short_sequences(length, declared):
+    """Length 1 has no w_1: df/f appears only when the sequence is declared."""
+    x, y = XY.var("x"), XY.var("y")
+    dx, dy = DiffForm.coordinate(XY, "x"), DiffForm.coordinate(XY, "y")
+    forms = [dx * y + dy, dy * x][:length]
+    f = (x + XY.one()) / y
+    s = GVSequence(forms, length) if declared else GVSequence(forms)
+    out = gv_rescale(s, f).forms
+    assert out[0] == forms[0] / f == _rescaled(forms, f)[0]
+    if length == 1 and not declared:
+        assert len(out) == 1 and len(_rescaled(forms, f)) == 1
+    else:
+        w1 = forms[1] if length == 2 else DiffForm.zero(XY, 1)
+        assert out[1] == w1 + ext_d(f) / f
