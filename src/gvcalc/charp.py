@@ -59,6 +59,7 @@ from .field import (
     RatFn,
     _cofactors,
     _drop_variable,
+    _one,
     as_ratfn,
     exact_div,
     squarefree_decomposition,
@@ -128,7 +129,7 @@ def _common_denominator(
     Each non-constant denominator is folded in by its cofactor against the
     running lcm, so a factor shared by several fractions is counted once.
     """
-    den = MultiPoly.const(fracs[0].chart, 1)
+    den = _one(fracs[0].chart)
     for f in fracs:
         if not f.den.is_constant():
             den = den * _cofactors(den, f.den)[2]
@@ -138,7 +139,7 @@ def _common_denominator(
 def _det(rows: list[list[MultiPoly]], chart: Chart) -> MultiPoly:
     """The determinant, by cofactor expansion along the first row."""
     if not rows:
-        return MultiPoly.const(chart, 1)
+        return _one(chart)
     total = MultiPoly.zero(chart)
     for c, a in enumerate(rows[0]):
         if not a.is_zero():
@@ -252,7 +253,7 @@ def _reduce_fraction(
         # q^e = h^e u^e; one copy of h cancels into the numerator
         work[i] = [h, e - 1]
         work.append([u, e])
-    den = MultiPoly.const(chart, 1)
+    den = _one(chart)
     for q, e in work:
         if e > 0:
             den = den * q ** e
@@ -317,17 +318,30 @@ def vf_pth_power(x: VectorField, p: int) -> VectorField:
 def _closed_identity(factor: RatFn, w: DiffForm) -> bool:
     """Whether d(factor * w) = 0, verified as a cleared polynomial identity.
 
-    With factor = P/N and w = W/B cleared once, factor*w = U/D for the
-    polynomial 1-form U = P*W and D = N*B, and d(U/D) = (D dU - dD ^ U)/D^2.
-    The numerator is summed in one `_FormSum` of polynomial terms, so the
-    check is a polynomial zero test with no rational normalization at all.
+    With factor = P/N and w = W/B cleared once, and any factor of B in P
+    cancelled, factor*w = P W/D for D = N B, and by Leibniz
+    D^2 d(P W/D) = D dP ^ W + P E with E = D dW - dD ^ W.  When P is a p-th
+    power, dP = 0, the first sum is empty and P multiplies only the small
+    2-form E, which vanishes for a true factor.  Every sum is a polynomial
+    `_FormSum`, so the check is a polynomial zero test with no rational
+    normalization at all.
     """
+    chart = w.chart
     wnums, wden = _common_denominator(list(w.coeffs()))
-    u = DiffForm.one_form(w.chart, [factor.num * wn for wn in wnums])
-    d = DiffForm.from_function(RatFn.from_poly(factor.den * wden))
-    acc = _FormSum(w.chart)
-    acc.add_wedge(d, ext_d(u), 1)
-    acc.add_wedge(ext_d(d), u, -1)
+    cleared = DiffForm.one_form(chart, wnums)
+    num = factor.num
+    if not (wden.is_constant() or num.is_zero()):
+        _, num, wden = _cofactors(num, wden)
+    pf = DiffForm.from_function(RatFn.from_poly(num))
+    df = DiffForm.from_function(RatFn.from_poly(factor.den * wden))
+    e = _FormSum(chart)
+    e.add_wedge(df, ext_d(cleared), 1)
+    e.add_wedge(ext_d(df), cleared, -1)
+    d_dp = _FormSum(chart)  # D dP, empty when dP = 0
+    d_dp.add_wedge(df, ext_d(pf), 1)
+    acc = _FormSum(chart)
+    acc.add_wedge(d_dp.form(1), cleared, 1)
+    acc.add_wedge(pf, e.form(2), 1)
     return acc.form(2).is_zero()
 
 

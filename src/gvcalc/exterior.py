@@ -26,6 +26,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import ChartMismatch, GvError, ZeroFunction
 from .field import Chart, MultiPoly, RatFn, _UNIT, _coerce, _one, _over_one, _reduced, as_ratfn
+from .field import _require_chart
 from .intpoly import _diff_terms, _mul_terms, _times, _var
 
 
@@ -190,11 +191,6 @@ class DiffForm:
 
 
 _set_chart, _set_degree, _set_terms = (DiffForm.__dict__[n].__set__ for n in DiffForm.__slots__)
-
-
-def _require_chart(chart, owner: str) -> None:
-    if not isinstance(chart, Chart):
-        raise GvError(f"{owner} needs a Chart, not {chart!r}")
 
 
 def _index(idx) -> tuple:

@@ -117,17 +117,19 @@ class Chart:
         return Chart(self.variables + tuple(names), self.characteristic)
 
     def var(self, name: str) -> "RatFn":
-        return RatFn.from_poly(MultiPoly.var(self, name))
+        return RatFn._raw(MultiPoly.var(self, name), _one(self))
 
     def const(self, value: Scalar) -> "RatFn":
         c = _coerce(self, value)
-        return RatFn.from_poly(MultiPoly._raw(self, {0: c.numerator} if c else {}, c.denominator))
+        num = MultiPoly._raw(self, {0: c.numerator} if c else {}, c.denominator)
+        return RatFn._raw(num, _one(self))
 
     def zero(self) -> "RatFn":
-        return RatFn.from_poly(MultiPoly._raw(self, {}))
+        return RatFn._raw(MultiPoly._raw(self, {}), _one(self))
 
     def one(self) -> "RatFn":
-        return RatFn.from_poly(_one(self))
+        one = _one(self)
+        return RatFn._raw(one, one)
 
 
 def _coerce(chart: Chart, c) -> Scalar:
@@ -148,6 +150,11 @@ def _coerce(chart: Chart, c) -> Scalar:
     if isinstance(c, int):
         return c % p
     raise GvError(f"bad coefficient {c!r} for characteristic {p}")
+
+
+def _require_chart(chart, owner: str) -> None:
+    if not isinstance(chart, Chart):
+        raise GvError(f"{owner} needs a Chart, not {chart!r}")
 
 
 def _require_polys(what: str, *values) -> None:
@@ -249,10 +256,12 @@ class MultiPoly:
 
     @classmethod
     def const(cls, chart: Chart, value: Scalar) -> "MultiPoly":
+        _require_chart(chart, "a polynomial")
         return cls(chart, {(0,) * chart.dim: value})
 
     @classmethod
     def var(cls, chart: Chart, name: str) -> "MultiPoly":
+        _require_chart(chart, "a polynomial")
         exp = [0] * chart.dim
         exp[chart.index(name)] = 1
         return cls(chart, {tuple(exp): 1})
@@ -388,11 +397,23 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "MultiPoly":
+        """Square and multiply; over F_p each factor p of k is a Frobenius step.
+
+        (sum c_i m_i)^p = sum c_i m_i^p, since c^p = c in F_p, and a packed
+        key times p is the key of the p-th power of its monomial.  A power
+        whose degree would reach 2^15 is left to the products, which raise.
+        """
         _require_exponent(k)
         if k < 0:
             raise GvError("negative power of a polynomial")
-        result = _one(self.chart)
+        chart = self.chart
+        p = chart.characteristic
+        result = _one(chart)
         base = self
+        n = chart.dim
+        while p and k and not k % p and base._ints and (max(base._ints) >> W * n) * p < HALF:
+            base = MultiPoly._raw(chart, {e * p: c for e, c in base._ints.items()})
+            k //= p
         while k:
             if k & 1:
                 result = result * base
@@ -706,6 +727,7 @@ class RatFn:
 
     @classmethod
     def from_poly(cls, num: MultiPoly) -> "RatFn":
+        _require_polys("RatFn.from_poly", num)
         return cls._raw(num, _one(num.chart))
 
     @property
@@ -742,7 +764,7 @@ class RatFn:
                 raise ChartMismatch("rational functions on different charts")
             return other
         if isinstance(other, MultiPoly):
-            return RatFn.from_poly(other)
+            return RatFn._raw(other, _one(other.chart))
         if isinstance(other, (int, Fraction)):
             return self.chart.const(other)
         return None
@@ -913,7 +935,7 @@ def as_ratfn(chart: Chart, value) -> RatFn:
     if isinstance(value, MultiPoly):
         if value.chart != chart:
             raise ChartMismatch("value on a different chart")
-        return RatFn.from_poly(value)
+        return RatFn._raw(value, _one(chart))
     if isinstance(value, (int, Fraction)):
         return chart.const(value)
     raise GvError(f"cannot coerce {value!r} to a rational function")

@@ -23,6 +23,9 @@ the variable of the lowest field to a large integer, recurses down to
 `math.gcd`, reads a candidate back from balanced digits and keeps it only
 when trial division by it is exact; those quotients are the cofactors.  When
 it gives up, and always over F_p, the primitive PRS of `_gcd_terms` runs.
+It makes only the divisor primitive, folds the other operand's coefficients
+into the divisor's content until that reaches 1, and cancels a unit leading
+coefficient in place instead of scaling each pseudo-remainder.
 """
 
 from __future__ import annotations
@@ -208,10 +211,16 @@ def _gcd_terms(a: dict, b: dict, p: int) -> dict:
     """A gcd of nonzero term dicts over Z (p = 0) or F_p, normalized by `_normal`.
 
     Primitive PRS (W. S. Brown, J. ACM 18, 1971) in the occurring variable
-    of least degree in a and b (the last such variable on a tie), with the
-    contents in that variable taken recursively.  Over Z the
-    integer contents of a and b are ignored: the result is primitive.  Over Z
-    it is the fallback of `_heu_gcd` and the reference its results are
+    of least degree in a and b (the last such variable on a tie).  Only the
+    operand b of lower degree in that variable is made primitive: a common
+    factor of a primitive b and prem(a, b) has no factor free of the
+    variable, so it divides a, and every later remainder is made primitive.
+    The content gcd starts from the content of b and folds in the
+    coefficients of a, smallest first, until it reaches 1; the content of a
+    is never formed.  A unit leading coefficient of b divides out of each
+    pseudo-remainder step instead of scaling the remainder.  Over Z the
+    integer contents of a and b are ignored: the result is primitive.  Over
+    Z it is the fallback of `_heu_gcd` and the reference its results are
     tested against; over F_p it is the only route.
     """
     if len(a) == 1 or len(b) == 1:
@@ -232,31 +241,48 @@ def _gcd_terms(a: dict, b: dict, p: int) -> dict:
     best = None
     for t in range(0, d, W):
         if low >> t & MASK:
-            k = max(max(e >> t & MASK for e in a), max(e >> t & MASK for e in b))
+            ka = max(e >> t & MASK for e in a)
+            kb = max(e >> t & MASK for e in b)
             # fields run from the last variable up, so ties keep the last one
-            if best is None or k < best:
-                best, s = k, t
-    u = 1 << d | 1 << s
-    a, ca = _primitive(a, s, u, p)
-    b, cb = _primitive(b, s, u, p)
-    if max(e >> s & MASK for e in a) < max(e >> s & MASK for e in b):
+            if best is None or max(ka, kb) < best:
+                best, s, swap = max(ka, kb), t, ka < kb
+    if swap:
         a, b = b, a
+    u = 1 << d | 1 << s
+    b, cb = _primitive(b, s, u, p)
+    g = shared
+    if any(cb):
+        for c in sorted(_coeffs(a, s, u).values(), key=len):
+            cb = _gcd_terms(cb, c, p)
+            if not any(cb):
+                break
+        g = _mul_terms(g, cb, p)
     while b:
         # pseudo-remainder of a by b in the variable, then its primitive part
         parts = _coeffs(b, s, u)
         db = max(parts)
         lb = parts[db]
-        r = a
+        off = db * u
+        lc = lb.get(0, 0) if len(lb) == 1 else 0  # the lead if it is a constant
+        unit = -pow(lc, p - 2, p) if p and lc else -lc if lc in (1, -1) else 0
+        # with a unit lead, r - (lr/lb) x^k b cancels the lead of r in place;
+        # otherwise lb r - lr x^k b does
+        neg = unit or -1
+        r = dict(a) if unit else a
         while r:
-            parts = _coeffs(r, s, u)
-            dr = max(parts)
+            # the leading part of r in the variable, in one pass
+            dr = -1
+            for e, c in r.items():
+                k = e >> s & MASK
+                if k >= dr:
+                    if k > dr:
+                        dr, lead = k, {}
+                    lead[e] = c
             if dr < db:
                 break
-            shift = (dr - db) * u
-            lr = {e + shift: -c for e, c in parts[dr].items()}
-            r = _mul_terms(lr, b, p, _mul_terms(lb, r, p))
+            lr = {e - off: c * neg for e, c in lead.items()}
+            r = _mul_terms(lr, b, p, r if unit else _mul_terms(lb, r, p))
         a, b = b, _primitive(r, s, u, p)[0] if r else r
-    g = _mul_terms(shared, _gcd_terms(ca, cb, p), p)
     # products of normalized factors are normalized (Gauss's lemma over Z)
     return _mul_terms(g, a, p) if any(e >> s & MASK for e in a) else g
 

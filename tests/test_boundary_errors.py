@@ -87,6 +87,11 @@ BAD_CALLS = {
     "poly_gcd(1, x)": lambda: poly_gcd(1, X),
     "exact_div(x, 2)": lambda: exact_div(X, 2),
     "squarefree_decomposition(None)": lambda: squarefree_decomposition(None),
+    "MultiPoly.var(None, 'x')": lambda: MultiPoly.var(None, "x"),
+    "MultiPoly.const(None, 1)": lambda: MultiPoly.const(None, 1),
+    "MultiPoly.zero(None)": lambda: MultiPoly.zero(None),
+    "MultiPoly.monomial(None, (1, 0))": lambda: MultiPoly.monomial(None, (1, 0)),
+    "RatFn.from_poly(None)": lambda: RatFn.from_poly(None),
     "poly_str(None)": lambda: poly_str(None),
     "GVSequence(dx)": lambda: GVSequence(DX),
     "GVSequence(None)": lambda: GVSequence(None),

@@ -5,8 +5,10 @@ import json
 import random
 import re
 import signal
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 import sympy
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_field_oracles import polys, to_sympy
 
+import gvcalc
 from gvcalc import (
     Chart,
     DegenerateFrame,
@@ -37,7 +40,13 @@ from gvcalc import (
     wedge_all,
 )
 from gvcalc.charp import _closed_identity, _common_denominator, _default_frame_functions
+from gvcalc.exterior import _FormSum
 from gvcalc.field import _gauss_jordan
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import run  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 
 def plane(p: int) -> Chart:
@@ -348,6 +357,12 @@ class TestIntegratingFactor:
     def test_probe_form_factor_is_pinned(self, i) -> None:
         assert _digest(integrating_factor(_probe_form(i))) == PROBE_FACTOR_SHA256[i]
 
+    def test_probe_form_17_is_certified(self) -> None:
+        # its factor comes in about 1.5 s; the unsplit certificate, which
+        # multiplied the factor's numerator into every term, ran past 30 s
+        w = _probe_form(17)
+        assert _within(30, lambda: _digest(integrating_factor(w))) == PROBE_FACTOR_SHA256[17]
+
     def test_closed_identity_rejects_a_non_factor(self) -> None:
         # the closedness certificate is a real identity: it holds for the
         # factor and fails once the factor is perturbed
@@ -373,6 +388,7 @@ PROBE_FACTOR_SHA256 = {
     9: "2a96772e33cfb1cb01558dd0852f0c58f17bcc2c5d81c1252a32bbe16ca40233",
     10: "f102784e207c80511cc77d986a527eac68288baae84e6bce727f13616adcf4c1",
     16: "77d171dc4ca0b9215e369b186aef593cb68ea74b5e61f6ec71895f63f82a39c8",
+    17: "2ee510ca49dd5a70d68be6ae68930c42794fe81f0a7e9afc3ac2413d3ae1280c",
     18: "b1942e672bc81b58f090a74d8c2929d2421612b0b6403c1f411e26846e6d7a09",
     27: "63939db38c4ddde1dd933a686129cebd773983dd08f942d30c4ddaf6fd3f7518",
 }
@@ -481,13 +497,50 @@ def test_closed_identity_agrees_with_ext_d(p, dim):
         others = [factor * RatFn.from_poly(q) ** p, RatFn(r, s), factor * RatFn(r, s)]
         assert _closed_identity(factor, w) and _closed_identity(others[0], w)
         for f in [factor, *others]:
-            assert _closed_identity(f, w) == ext_d(w * f).is_zero()
+            assert _closed_identity(f, w) == ext_d(w * f).is_zero() == unsplit_identity(f, w)
+        # w = (a / s^p) dg has the factor s^p / a, whose numerator is a p-th power
+        u = d_of(RatFn.from_poly(g)) * RatFn(a, s**p)
+        for f in (RatFn(s**p, a), RatFn(s**p * r, a)):
+            assert _closed_identity(f, u) == ext_d(u * f).is_zero() == unsplit_identity(f, u)
+        assert _closed_identity(RatFn(s**p, a), u)
         # a form that need not be integrable
         v = DiffForm.one_form(chart, [RatFn(r, s), RatFn.from_poly(g)] + [RatFn(b, s)] * (dim - 2))
         for f in (RatFn(r, s), chart.one()):
-            assert _closed_identity(f, v) == ext_d(v * f).is_zero()
+            assert _closed_identity(f, v) == ext_d(v * f).is_zero() == unsplit_identity(f, v)
 
     check()
+
+
+def unsplit_identity(factor: RatFn, w: DiffForm) -> bool:
+    """The certificate as one sum: D dU - dD ^ U = 0 for factor*w = U/D."""
+    wnums, wden = _common_denominator(list(w.coeffs()))
+    u = DiffForm.one_form(w.chart, [factor.num * wn for wn in wnums])
+    d = DiffForm.from_function(RatFn.from_poly(factor.den * wden))
+    acc = _FormSum(w.chart)
+    acc.add_wedge(d, ext_d(u), 1)
+    acc.add_wedge(ext_d(d), u, -1)
+    return acc.form(2).is_zero()
+
+
+@pytest.mark.parametrize("name", ["charp_factors", "charp_sieve"])
+def test_closed_identity_on_the_workload_factors(name):
+    # most of these factors have a p-th power numerator (dP = 0); times x or
+    # x + 1 they do not, and they stay factors only when w is a multiple of dx
+    pool = run.make_pool(WORKLOADS[name], gvcalc, 1, 100)
+    pth_powers = 0
+    for w in pool:
+        try:
+            factor = integrating_factor(w)
+        except PClosedCase:
+            continue
+        chart = w.chart
+        x = chart.var("x")
+        pth_powers += all(factor.num.diff(v).is_zero() for v in range(chart.dim))
+        assert _closed_identity(factor, w) and unsplit_identity(factor, w)
+        along_dx = wedge_all([w, d_of(x)]).is_zero()
+        for f in (factor * x, factor * (x + 1)):
+            assert _closed_identity(f, w) == unsplit_identity(f, w) == along_dx
+    assert pth_powers >= 50
 
 
 def random_poly(chart: Chart, rng: random.Random, terms: int, degree: int) -> MultiPoly:

@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import math
 import signal
-from operator import add
+from functools import reduce
+from operator import add, mul
 
 import pytest
 import sympy
@@ -41,7 +42,7 @@ from gvcalc import (
 from gvcalc import field, intpoly
 from gvcalc.field import _cofactors, _drop_variable
 from gvcalc.intpoly import HALF, MASK, W, _coeffs, _div_terms, _gcd_terms, _heu_gcd, _mul_terms
-from gvcalc.intpoly import _pack, _times, _unpack, _var
+from gvcalc.intpoly import _min_exp, _normal, _pack, _times, _unpack, _var
 
 PRIMES = (0, 2, 3, 5, 7)
 VARIABLES = ("x", "y", "z")
@@ -1138,3 +1139,180 @@ def test_f5_gcd_runs_in_the_variable_of_least_degree():
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert g == MultiPoly.const(chart, 1)
+
+
+# -- the PRS against the one that made both operands primitive ----------------
+#
+# `_gcd_terms` makes only the operand of lower degree in its main variable
+# primitive, folds the coefficients of the other into that content, and
+# divides a unit lead out of each pseudo-remainder step.  The reference is
+# the PRS as it was before those changes: both operands primitive, their
+# contents' gcd taken separately, every step scaled by the lead; sympy's gcd
+# is a second oracle.  Operands are planted products: a shared factor, a
+# large cofactor on one side and a small one on the other, univariate
+# contents (shared and not) and monomial factors.
+
+
+def both_primitive(f: dict, s: int, u: int, p: int) -> tuple[dict, dict]:
+    parts = sorted(_coeffs(f, s, u).values(), key=len)
+    content = parts[0]
+    for c in parts[1:]:
+        content = both_primitive_gcd(content, c, p)
+        if content == {0: 1}:
+            break
+    return _normal(_div_terms(f, content, p), p), content
+
+
+def both_primitive_gcd(a: dict, b: dict, p: int) -> dict:
+    if len(a) == 1 or len(b) == 1:
+        return {_min_exp([*a, *b]): 1}
+    if a == b:
+        return _normal(a, p)
+    sa, sb = _min_exp(a), _min_exp(b)
+    shared = {_min_exp((sa, sb)): 1}
+    a = {e - sa: c for e, c in a.items()}
+    b = {e - sb: c for e, c in b.items()}
+    d = (max(max(a), max(b)).bit_length() - 1) // W * W
+    best = None
+    for t in range(0, d, W):
+        if any(e >> t & MASK for e in [*a, *b]):
+            k = max(e >> t & MASK for e in [*a, *b])
+            if best is None or k < best:
+                best, s = k, t
+    u = 1 << d | 1 << s
+    a, ca = both_primitive(a, s, u, p)
+    b, cb = both_primitive(b, s, u, p)
+    if max(e >> s & MASK for e in a) < max(e >> s & MASK for e in b):
+        a, b = b, a
+    while b:
+        parts = _coeffs(b, s, u)
+        db = max(parts)
+        lb = parts[db]
+        r = a
+        while r:
+            parts = _coeffs(r, s, u)
+            dr = max(parts)
+            if dr < db:
+                break
+            lr = {e + (dr - db) * u: -c for e, c in parts[dr].items()}
+            r = _mul_terms(lr, b, p, _mul_terms(lb, r, p))
+        a, b = b, both_primitive(r, s, u, p)[0] if r else r
+    g = _mul_terms(shared, both_primitive_gcd(ca, cb, p), p)
+    return _mul_terms(g, a, p) if any(e >> s & MASK for e in a) else g
+
+
+def sympy_gcd(a: dict, b: dict, p: int, dim: int) -> dict:
+    gens = sympy.symbols(VARIABLES[:dim])
+    extra = {"domain": sympy.ZZ} if p == 0 else {"modulus": p}
+    sa, sb = (sympy.Poly.from_dict(unpacked(f, dim), *gens, **extra) for f in (a, b))
+    terms = {e: int(c) % p if p else int(c) for e, c in sympy.gcd(sa, sb).as_dict().items()}
+    return _normal(packed(terms), p)
+
+
+def gcd_operands(p: int, dim: int):
+    """Pairs (a, b) of packed term dicts with planted common factors."""
+    # over Z, leading coefficients +-1 (units) come up as often as others
+    coeff = (
+        st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9).filter(bool))
+        if p == 0
+        else st.integers(1, p - 1)
+    )
+
+    def terms(max_terms, max_exp):
+        exps = st.tuples(*[st.integers(0, max_exp)] * dim)
+        return st.dictionaries(exps, coeff, min_size=1, max_size=max_terms).map(packed)
+
+    def univariate(max_terms):
+        # a content in every main variable but one
+        def lift(v, terms):
+            return packed({(0,) * v + (k,) + (0,) * (dim - 1 - v): c for k, c in terms.items()})
+
+        one = st.dictionaries(st.integers(0, 2), coeff, min_size=1, max_size=max_terms)
+        return st.tuples(st.integers(0, dim - 1), one).map(lambda vt: lift(*vt))
+
+    def product(*factors):
+        return reduce(lambda f, g: _mul_terms(f, g, p), factors)
+
+    def pair(shared, large, small, content, ca, cb, ma, mb, swap):
+        a = product(shared, large, content, ca, ma)
+        b = product(shared, small, content, cb, mb)
+        return (b, a) if swap else (a, b)
+
+    return st.tuples(
+        terms(2, 2),  # shared
+        terms(5, 2),  # the large cofactor
+        terms(2, 1),  # the small cofactor
+        univariate(2), univariate(2), univariate(2),  # contents: shared, a's, b's
+        terms(1, 2), terms(1, 2),  # monomials
+        st.booleans(),
+    ).map(lambda t: pair(*t))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", PRIMES)
+def test_prs_matches_the_both_primitive_prs_and_sympy(p, dim):
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(gcd_operands(p, dim))
+    def check(pair):
+        a, b = pair
+        before = dict(a), dict(b)
+        g = _gcd_terms(a, b, p)
+        # the operands are not modified in place
+        assert (a, b) == before
+        assert g == both_primitive_gcd(a, b, p) == sympy_gcd(a, b, p, dim)
+
+    check()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_prs_folds_contents_and_divides_unit_leads(p):
+    # main variable x (degree 1 in both, y and z of degree 2 or more): b has
+    # the content (y + 1)(y^2 + 2) and a the content (y + 1)(z^2 + 1), so the
+    # fold stops at y + 1; b's lead in x is a unit in the first pair and not
+    # in the second
+    chart = Chart(VARIABLES, p)
+    x, y, z = (MultiPoly.var(chart, v) for v in VARIABLES)
+    shared = x + y * z + 1
+    for lead in (MultiPoly.const(chart, 1), y + 1):
+        a = (y + 1) * (z**2 + 1) * shared * (x * z**2 + y**2)
+        b = (y + 1) * (y**2 + 2) * shared * (lead * x + z)
+        g = _gcd_terms(a._ints, b._ints, p)
+        assert g == both_primitive_gcd(a._ints, b._ints, p) == sympy_gcd(a._ints, b._ints, p, 3)
+        assert poly_gcd(a, b) == ((y + 1) * shared).monic()
+
+
+# -- powers against repeated products -------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_power_matches_repeated_products(p):
+    chart = Chart(VARIABLES[:2], p)
+    x, y = (MultiPoly.var(chart, v) for v in VARIABLES[:2])
+    one = MultiPoly.const(chart, 1)
+    fixed = [one, MultiPoly.const(chart, p - 1), MultiPoly.zero(chart), x, x * y**2 * 2]
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(polys(p, max_terms=3, max_exp=2))
+    def check(f):
+        for g in [*fixed, f]:
+            for k in (0, 1, p, 2 * p, p * p, 3 * p + 1):
+                power = g**k
+                assert_canonical(power)
+                assert power == reduce(mul, [g] * k, one)
+
+    check()
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 7])
+def test_power_past_the_degree_bound_raises(p):
+    chart = Chart(VARIABLES[:2], p)
+    x, y = (MultiPoly.var(chart, v) for v in VARIABLES[:2])
+    q = p or 2
+    k = q
+    while k < HALF:
+        k *= q
+    # x^(k/q) is in range; its q-th power and x^k reach 2^15
+    assert x ** (k // q) == MultiPoly.monomial(chart, (k // q, 0))
+    for call in (lambda: x**k, lambda: (x ** (k // q)) ** q, lambda: (x * y) ** (k // q)):
+        with pytest.raises(GvError, match="overflow"):
+            call()
