@@ -43,6 +43,8 @@ from .errors import (
     PClosedCase,
     ZeroDenominator,
     ZeroFunction,
+    _require,
+    _require_int,
 )
 from .exterior import (
     DiffForm,
@@ -134,6 +136,12 @@ def _common_denominator(
         if not f.den.is_constant():
             den = den * _cofactors(den, f.den)[2]
     return [f.num * (den if f.den.is_constant() else exact_div(den, f.den)) for f in fracs], den
+
+
+def _cleared(w: DiffForm) -> tuple[DiffForm, MultiPoly]:
+    """(W, B) with w = W/B, W a polynomial 1-form and B the monic lcm of w's denominators."""
+    wnums, wden = _common_denominator(list(w.coeffs()))
+    return DiffForm.one_form(w.chart, wnums), wden
 
 
 def _det(rows: list[list[MultiPoly]], chart: Chart) -> MultiPoly:
@@ -306,41 +314,40 @@ def vf_pth_power(x: VectorField, p: int) -> VectorField:
     In characteristic p the p-fold composite of a derivation is again a
     derivation, so it is determined by its values on the coordinates.
     """
-    if not isinstance(x, VectorField):
-        raise GvError(f"expected a VectorField, not {x!r}")
+    _require(VectorField, "vf_pth_power", x)
     chart = x.chart
-    if type(p) is not int or p <= 0 or chart.characteristic != p:
+    p = _require_int(p, "the exponent", 1)
+    if chart.characteristic != p:
         raise GvError("the exponent must equal the chart characteristic")
     gs, s, den = _pth_power_numerators(x, p)
     return VectorField(chart, [_reduce_fraction(g, [(den, s)]) for g in gs])
 
 
-def _closed_identity(factor: RatFn, w: DiffForm) -> bool:
+def _closed_identity(factor: RatFn, cleared: tuple[DiffForm, MultiPoly]) -> bool:
     """Whether d(factor * w) = 0, verified as a cleared polynomial identity.
 
-    With factor = P/N and w = W/B cleared once, and any factor of B in P
-    cancelled, factor*w = P W/D for D = N B, and by Leibniz
-    D^2 d(P W/D) = D dP ^ W + P E with E = D dW - dD ^ W.  When P is a p-th
-    power, dP = 0, the first sum is empty and P multiplies only the small
-    2-form E, which vanishes for a true factor.  Every sum is a polynomial
-    `_FormSum`, so the check is a polynomial zero test with no rational
-    normalization at all.
+    `cleared` is (W, B) from `_cleared(w)`, so w = W/B.  With factor = P/N,
+    and any factor of B in P cancelled, factor*w = P W/D for D = N B, and by
+    Leibniz D^2 d(P W/D) = D dP ^ W + P E with E = D dW - dD ^ W.  When P is
+    a p-th power, dP = 0, the first sum is empty and P multiplies only the
+    small 2-form E, which vanishes for a true factor.  Every sum is a
+    polynomial `_FormSum`, so the check is a polynomial zero test with no
+    rational normalization at all.
     """
-    chart = w.chart
-    wnums, wden = _common_denominator(list(w.coeffs()))
-    cleared = DiffForm.one_form(chart, wnums)
+    W, B = cleared
+    chart = W.chart
     num = factor.num
-    if not (wden.is_constant() or num.is_zero()):
-        _, num, wden = _cofactors(num, wden)
+    if not (B.is_constant() or num.is_zero()):
+        _, num, B = _cofactors(num, B)
     pf = DiffForm.from_function(RatFn.from_poly(num))
-    df = DiffForm.from_function(RatFn.from_poly(factor.den * wden))
+    df = DiffForm.from_function(RatFn.from_poly(factor.den * B))
     e = _FormSum(chart)
-    e.add_wedge(df, ext_d(cleared), 1)
-    e.add_wedge(ext_d(df), cleared, -1)
+    e.add_wedge(df, ext_d(W), 1)
+    e.add_wedge(ext_d(df), W, -1)
     d_dp = _FormSum(chart)  # D dP, empty when dP = 0
     d_dp.add_wedge(df, ext_d(pf), 1)
     acc = _FormSum(chart)
-    acc.add_wedge(d_dp.form(1), cleared, 1)
+    acc.add_wedge(d_dp.form(1), W, 1)
     acc.add_wedge(pf, e.form(2), 1)
     return acc.form(2).is_zero()
 
@@ -365,11 +372,11 @@ def integrating_factor(w: DiffForm, fs: Optional[Sequence] = None) -> RatFn:
     p = chart.characteristic
     if p == 0:
         raise GvError("integrating factors are a positive-characteristic construction")
-    wnums, wden = _common_denominator(list(w.coeffs()))
-    cleared = DiffForm.one_form(chart, wnums)
-    if not is_integrable(cleared):
+    W, wden = cleared = _cleared(w)
+    if not is_integrable(W):
         raise NotIntegrable("the form does not satisfy w ^ dw = 0")
-    columns = _inverse_columns([a.coeffs() for a in _coframe(cleared, fs)])
+    columns = _inverse_columns([a.coeffs() for a in _coframe(W, fs)])
+    wnums = [c.num for c in W.coeffs()]
     # the kernel fields X = Y/den, with Y polynomial and w(Y) = den*w(X) = 0
     for ys, den in islice(columns, chart.dim - 1):
         gs = _polynomial_pth_power(ys, p)
@@ -377,7 +384,7 @@ def integrating_factor(w: DiffForm, fs: Optional[Sequence] = None) -> RatFn:
         if num.is_zero():
             continue
         factor = _reduce_fraction(num, [(wden, 1), (den, p)]).inv()
-        if not _closed_identity(factor, w):
+        if not _closed_identity(factor, cleared):
             raise GvError("the integrating factor failed its closedness certificate")
         return factor
     raise PClosedCase("every kernel p-th power contracts to zero; the kernel is p-closed")
@@ -436,7 +443,7 @@ def invariant_hypersurface_candidates(
         raise ChartMismatch("the factor and the form live on different charts")
     if factor.is_zero():
         raise ZeroFunction("the zero function is not an integrating factor")
-    if not _closed_identity(factor, w):
+    if not _closed_identity(factor, _cleared(w)):
         raise GvError("the function is not an integrating factor of the form")
     # for coprime P/Q, d(P/Q) = 0 exactly when dP = dQ = 0
     if all(f.diff(v).is_zero() for f in (factor.num, factor.den) for v in range(chart.dim)):
@@ -492,13 +499,9 @@ def batch_integrating_factors(
     Forms on two-variable charts are automatically integrable, so every run
     terminates in one of the two declared outcomes.
     """
-    for name, value in (("count", count), ("degree", degree)):
-        if type(value) is not int or value < 0:
-            raise GvError(f"{name} must be a nonnegative int, not {value!r}")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise GvError(f"the seed must be an int, not {seed!r}")
-    if not isinstance(names, Sequence):
-        raise GvError(f"variable names must be a sequence, not {names!r}")
+    count, degree = _require_int(count, "count"), _require_int(degree, "degree")
+    seed = _require_int(seed, "the seed", None)
+    _require(Sequence, "variable names", names)
     chart = Chart(tuple(names), p)
     if chart.characteristic == 0:
         # the coefficients are drawn from F_p, and every form needs p > 0

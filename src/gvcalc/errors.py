@@ -1,4 +1,11 @@
-"""Exception hierarchy shared by every module in the package."""
+"""Exception hierarchy shared by every module in the package, and the one
+argument policy of its public boundary.
+
+An int argument (a length, an order, an index, a degree bound, a
+characteristic or a seed) may be any int except a bool, and an int subclass
+is stored as a plain int; `_require_int` is the one place that decides it.
+`_require` is the one guard for an argument that must be of a given class.
+"""
 
 from __future__ import annotations
 
@@ -54,3 +61,25 @@ class DegenerateFrame(GvError):
 
 class PClosedCase(GvError):
     """All frame contractions w(X_i^p) vanish; the form is p-closed."""
+
+
+def _require_int(value, what: str, least: int | None = 0) -> int:
+    """`value` as a plain int of at least `least` (no bound for None).
+
+    A bool or a value that is not an int raises GvError, as does an int
+    below the bound.
+    """
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise GvError(f"{what} must be an int, not {value!r}")
+        value = int(value)
+    if least is not None and value < least:
+        raise GvError(f"{what} must be at least {least}, not {value}")
+    return value
+
+
+def _require(cls: type, what: str, *values) -> None:
+    """Raise GvError on the first of `values` that is not a `cls`."""
+    for value in values:
+        if not isinstance(value, cls):
+            raise GvError(f"{what}: expected {cls.__name__}, not {value!r}")

@@ -24,9 +24,8 @@ from fractions import Fraction
 from itertools import chain
 from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import ChartMismatch, GvError, ZeroFunction
+from .errors import ChartMismatch, GvError, ZeroFunction, _require, _require_int
 from .field import Chart, MultiPoly, RatFn, _UNIT, _coerce, _one, _over_one, _reduced, as_ratfn
-from .field import _require_chart
 from .intpoly import _diff_terms, _mul_terms, _times, _var
 
 
@@ -36,25 +35,18 @@ class DiffForm:
     __slots__ = ("chart", "degree", "terms")
 
     def __init__(self, chart: Chart, degree: int, terms: dict) -> None:
-        _require_chart(chart, "a form")
-        if type(degree) is not int:
-            raise GvError(f"form degree must be an int, not {degree!r}")
-        if not isinstance(terms, Mapping):
-            raise GvError(f"form terms must be a mapping, not {terms!r}")
-        if degree < 0 or degree > chart.dim:
-            if degree < 0:
-                raise GvError("form degree must be nonnegative")
+        _require(Chart, "DiffForm chart", chart)
+        degree = _require_int(degree, "the form degree")
+        _require(Mapping, "DiffForm terms", terms)
+        if degree > chart.dim:
             # a degree above the dimension is identically zero
             terms = {}
         clean: dict[tuple[int, ...], RatFn] = {}
         for idx, c in terms.items():
-            idx = _index(idx)
+            idx = tuple(_require_int(i, "a form index entry") for i in _index(idx))
             if len(idx) != degree:
                 raise GvError(f"index {idx} does not match degree {degree}")
-            if any(
-                isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < chart.dim
-                for i in idx
-            ):
+            if any(i >= chart.dim for i in idx):
                 raise GvError(f"index {idx} must hold variable positions of the chart")
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise GvError(f"index {idx} must be strictly increasing")
@@ -92,14 +84,13 @@ class DiffForm:
     @classmethod
     def coordinate(cls, chart: Chart, name: str) -> "DiffForm":
         """The 1-form d(x) for a chart variable x."""
-        _require_chart(chart, "a coordinate form")
+        _require(Chart, "DiffForm chart", chart)
         return cls(chart, 1, {(chart.index(name),): chart.one()})
 
     @classmethod
     def one_form(cls, chart: Chart, coeffs: Sequence) -> "DiffForm":
-        _require_chart(chart, "a 1-form")
-        if not isinstance(coeffs, Sequence):
-            raise GvError(f"1-form coefficients must be a sequence, not {coeffs!r}")
+        _require(Chart, "DiffForm chart", chart)
+        _require(Sequence, "1-form coefficients", coeffs)
         if len(coeffs) != chart.dim:
             raise GvError("one coefficient per chart variable required")
         return cls(chart, 1, {(i,): c for i, c in enumerate(coeffs)})
@@ -325,8 +316,7 @@ def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]):
 
 def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     """Exterior product."""
-    if not (isinstance(a, DiffForm) and isinstance(b, DiffForm)):
-        raise GvError(f"wedge needs two forms, not {a!r} and {b!r}")
+    _require(DiffForm, "wedge", a, b)
     if a.chart != b.chart:
         raise ChartMismatch("forms on different charts")
     chart = a.chart
@@ -373,9 +363,8 @@ class VectorField:
     __slots__ = ("chart", "components")
 
     def __init__(self, chart: Chart, components: Sequence) -> None:
-        _require_chart(chart, "a vector field")
-        if not isinstance(components, Sequence):
-            raise GvError(f"vector field components must be a sequence, not {components!r}")
+        _require(Chart, "VectorField chart", chart)
+        _require(Sequence, "VectorField components", components)
         if len(components) != chart.dim:
             raise GvError("one component per chart variable required")
         comps = tuple(as_ratfn(chart, c) for c in components)
@@ -387,7 +376,7 @@ class VectorField:
 
     @classmethod
     def coordinate(cls, chart: Chart, name: str) -> "VectorField":
-        _require_chart(chart, "a coordinate field")
+        _require(Chart, "VectorField chart", chart)
         comps = [chart.zero()] * chart.dim
         comps[chart.index(name)] = chart.one()
         return cls(chart, comps)
@@ -425,8 +414,7 @@ class VectorField:
 
     def apply(self, f: RatFn) -> RatFn:
         """Directional derivative X(f)."""
-        if not isinstance(f, RatFn):
-            raise GvError(f"a vector field applies to a rational function, not {f!r}")
+        _require(RatFn, "VectorField.apply", f)
         if f.chart != self.chart:
             raise ChartMismatch("vector field and function on different charts")
         out = self.chart.zero()
@@ -437,8 +425,7 @@ class VectorField:
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """Lie bracket [X, Y]."""
-        if not isinstance(other, VectorField):
-            raise GvError(f"a Lie bracket needs two vector fields, not {other!r}")
+        _require(VectorField, "VectorField.bracket", other)
         if self.chart != other.chart:
             raise ChartMismatch("vector fields on different charts")
         comps = [
@@ -458,8 +445,8 @@ class VectorField:
 
 def interior(x: VectorField, a: DiffForm) -> DiffForm:
     """Interior product i_X in the first slot."""
-    if not (isinstance(x, VectorField) and isinstance(a, DiffForm)):
-        raise GvError(f"interior needs a vector field and a form, not {x!r} and {a!r}")
+    _require(VectorField, "interior", x)
+    _require(DiffForm, "interior", a)
     if x.chart != a.chart:
         raise ChartMismatch("vector field and form on different charts")
     if a.degree == 0:
@@ -496,8 +483,7 @@ def lie_derivative(x: VectorField, a) -> "DiffForm | RatFn":
 
 def is_integrable(omega: DiffForm) -> bool:
     """Whether a 1-form satisfies omega ^ d(omega) = 0."""
-    if not isinstance(omega, DiffForm):
-        raise GvError(f"integrability needs a form, not {omega!r}")
+    _require(DiffForm, "is_integrable", omega)
     if omega.degree != 1:
         raise GvError("integrability is a condition on 1-forms")
     return wedge(omega, ext_d(omega)).is_zero()
@@ -505,8 +491,7 @@ def is_integrable(omega: DiffForm) -> bool:
 
 def same_foliation(a: DiffForm, b: DiffForm) -> bool:
     """Whether two nonzero integrable 1-forms have proportional kernels."""
-    if not (isinstance(a, DiffForm) and isinstance(b, DiffForm)):
-        raise GvError(f"foliation comparison needs two forms, not {a!r} and {b!r}")
+    _require(DiffForm, "same_foliation", a, b)
     if a.degree != 1 or b.degree != 1:
         raise GvError("foliation comparison expects 1-forms")
     if a.is_zero() or b.is_zero():
@@ -520,8 +505,7 @@ def pullback(phi: Sequence[RatFn], a: DiffForm) -> DiffForm:
     phi has one entry per variable of the form's chart; the entries live on
     the source chart.  Functions substitute; d commutes with the pullback.
     """
-    if not isinstance(a, DiffForm):
-        raise GvError(f"pullback needs a form, not {a!r}")
+    _require(DiffForm, "pullback", a)
     if not (isinstance(phi, Sequence) and all(isinstance(f, RatFn) for f in phi)):
         raise GvError(f"pullback map entries must be rational functions, not {phi!r}")
     if a.degree == 0:
@@ -542,8 +526,7 @@ def pullback(phi: Sequence[RatFn], a: DiffForm) -> DiffForm:
 
 def form_str(a: DiffForm) -> str:
     """Canonical printing: index tuples in lexicographic order."""
-    if not isinstance(a, DiffForm):
-        raise GvError(f"form_str needs a form, not {a!r}")
+    _require(DiffForm, "form_str", a)
     if a.is_zero():
         return "0"
     names = a.chart.variables

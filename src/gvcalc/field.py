@@ -23,8 +23,10 @@ parts, and equality is literal comparison of those parts.
 
 Input is validated at the boundary: `MultiPoly(chart, terms)` checks every
 exponent and coerces every coefficient, and the public functions check the
-types of their arguments, while internal results, canonical by
-construction, go through the trusted `MultiPoly._raw`, which checks nothing.
+types of their arguments with `errors._require` (the class) and
+`errors._require_int` (an int argument: no bool, stored as a plain int),
+while internal results, canonical by construction, go through the trusted
+`MultiPoly._raw`, which checks nothing.
 
 Products, sums, greatest common divisors and exact division run on the
 integer dictionaries themselves (`intpoly`, one core for Q and F_p); a
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import ChartMismatch, GvError, ZeroDenominator
+from .errors import ChartMismatch, GvError, ZeroDenominator, _require, _require_int
 from .intpoly import HALF, MASK, W, _add_terms, _diff_terms, _div_terms, _gcd_terms, _heu_gcd
 from .intpoly import _min_exp, _mul_terms, _pack, _times, _unpack, _var
 
@@ -77,10 +79,9 @@ class Chart:
     characteristic: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.variables, tuple):
-            raise GvError(f"chart variables must be a tuple, not {self.variables!r}")
-        if type(self.characteristic) is not int:
-            raise GvError(f"bad characteristic {self.characteristic!r}")
+        _require(tuple, "Chart variables", self.variables)
+        p = _require_int(self.characteristic, "the characteristic")
+        object.__setattr__(self, "characteristic", p)
         if not self.variables:
             raise GvError("chart needs at least one variable")
         for v in self.variables:
@@ -88,7 +89,6 @@ class Chart:
                 raise GvError(f"bad variable name {v!r}")
         if len(set(self.variables)) != len(self.variables):
             raise GvError("chart variables must be distinct")
-        p = self.characteristic
         if p != 0:
             if not _is_prime(p):
                 raise GvError(f"characteristic {p} is not prime")
@@ -152,21 +152,10 @@ def _coerce(chart: Chart, c) -> Scalar:
     raise GvError(f"bad coefficient {c!r} for characteristic {p}")
 
 
-def _require_chart(chart, owner: str) -> None:
-    if not isinstance(chart, Chart):
-        raise GvError(f"{owner} needs a Chart, not {chart!r}")
-
-
-def _require_polys(what: str, *values) -> None:
-    for v in values:
-        if not isinstance(v, MultiPoly):
-            raise GvError(f"{what} needs MultiPoly arguments, not {v!r}")
-
-
 def _key(n: int, exp) -> int:
     """The key of an exponent tuple on n variables; GvError if it is not one."""
     exp = tuple(exp)
-    if len(exp) != n or not all(isinstance(e, int) and e >= 0 for e in exp):
+    if len(exp) != n or any(_require_int(e, "an exponent", None) < 0 for e in exp):
         raise GvError(f"bad exponent {exp} for chart of dimension {n}")
     if sum(exp) >= HALF:
         raise GvError(f"total degree of {exp} reaches 2^{W - 1}: exponents overflow")
@@ -211,10 +200,8 @@ class MultiPoly:
     __slots__ = ("chart", "_ints", "_den")
 
     def __init__(self, chart: Chart, terms: dict) -> None:
-        if not isinstance(chart, Chart):
-            raise GvError(f"a polynomial needs a Chart, not {chart!r}")
-        if not isinstance(terms, Mapping):
-            raise GvError(f"polynomial terms must be a mapping, not {terms!r}")
+        _require(Chart, "MultiPoly chart", chart)
+        _require(Mapping, "MultiPoly terms", terms)
         clean: dict[int, Scalar] = {}
         n = chart.dim
         for exp, c in terms.items():
@@ -256,12 +243,12 @@ class MultiPoly:
 
     @classmethod
     def const(cls, chart: Chart, value: Scalar) -> "MultiPoly":
-        _require_chart(chart, "a polynomial")
+        _require(Chart, "MultiPoly chart", chart)
         return cls(chart, {(0,) * chart.dim: value})
 
     @classmethod
     def var(cls, chart: Chart, name: str) -> "MultiPoly":
-        _require_chart(chart, "a polynomial")
+        _require(Chart, "MultiPoly chart", chart)
         exp = [0] * chart.dim
         exp[chart.index(name)] = 1
         return cls(chart, {tuple(exp): 1})
@@ -403,9 +390,7 @@ class MultiPoly:
         key times p is the key of the p-th power of its monomial.  A power
         whose degree would reach 2^15 is left to the products, which raise.
         """
-        _require_exponent(k)
-        if k < 0:
-            raise GvError("negative power of a polynomial")
+        k = _require_int(k, "the exponent of a polynomial")
         chart = self.chart
         p = chart.characteristic
         result = _one(chart)
@@ -493,14 +478,10 @@ def _variable_index(chart: Chart, v) -> int:
     """The index of a variable given by name or by index; GvError if there is none."""
     if isinstance(v, str):
         return chart.index(v)
-    if type(v) is not int or not 0 <= v < chart.dim:
+    v = _require_int(v, "a variable index", None)
+    if not 0 <= v < chart.dim:
         raise GvError(f"no variable {v!r} on chart {chart.variables}")
     return v
-
-
-def _require_exponent(k) -> None:
-    if type(k) is not int:
-        raise GvError(f"exponent must be an int, not {k!r}")
 
 
 def _poly_diff(f: MultiPoly, v: int) -> MultiPoly:
@@ -569,7 +550,7 @@ def _term_str(chart: Chart, exp: tuple[int, ...], coeff: Scalar) -> str:
 
 def poly_str(f: MultiPoly) -> str:
     """Canonical printing: terms in descending graded-lex order."""
-    _require_polys("poly_str", f)
+    _require(MultiPoly, "poly_str", f)
     ints, den, n = f._ints, f._den, f.chart.dim
     s = " + ".join(
         _term_str(f.chart, _unpack(k, n), Fraction(ints[k], den) if den != 1 else ints[k])
@@ -615,7 +596,7 @@ def _cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiP
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """The greatest common divisor, monic under graded-lex; divides both inputs."""
-    _require_polys("poly_gcd", a, b)
+    _require(MultiPoly, "poly_gcd", a, b)
     if a.chart != b.chart:
         raise ChartMismatch("gcd of polynomials on different charts")
     if a.is_zero():
@@ -627,7 +608,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Exact quotient a / b; raises if b does not divide a."""
-    _require_polys("exact_div", a, b)
+    _require(MultiPoly, "exact_div", a, b)
     if a.chart != b.chart:
         raise ChartMismatch("division of polynomials on different charts")
     if b.is_zero():
@@ -660,7 +641,7 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
     a p-th power, whose root is recovered by dividing every exponent by p
     (coefficients in the prime field are fixed by Frobenius) and recursing.
     """
-    _require_polys("squarefree_decomposition", f)
+    _require(MultiPoly, "squarefree_decomposition", f)
     chart = f.chart
     if f.is_zero() or f.is_constant():
         return []
@@ -727,7 +708,7 @@ class RatFn:
 
     @classmethod
     def from_poly(cls, num: MultiPoly) -> "RatFn":
-        _require_polys("RatFn.from_poly", num)
+        _require(MultiPoly, "RatFn.from_poly", num)
         return cls._raw(num, _one(num.chart))
 
     @property
@@ -856,7 +837,7 @@ class RatFn:
         return o / self
 
     def __pow__(self, k: int) -> "RatFn":
-        _require_exponent(k)
+        k = _require_int(k, "the exponent", None)
         if k < 0:
             return self.inv() ** (-k)
         if k == 0:
@@ -916,7 +897,7 @@ def _over_one(num: MultiPoly, one: MultiPoly) -> RatFn:
 
 def rf_normalize(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """Reduce to coprime parts with monic denominator. Raises on zero denominator."""
-    _require_polys("a rational function", num, den)
+    _require(MultiPoly, "a rational function", num, den)
     if num.chart != den.chart:
         raise ChartMismatch("numerator and denominator on different charts")
     if not (num.is_zero() or den.is_constant()):

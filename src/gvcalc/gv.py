@@ -42,6 +42,8 @@ from .errors import (
     NotIntegrable,
     NotNormalized,
     ZeroFunction,
+    _require,
+    _require_int,
 )
 from .exterior import (
     DiffForm,
@@ -114,8 +116,7 @@ class GVSequence(FormalOmega):
         forms: Sequence[DiffForm],
         declared_length: Optional[int] = None,
     ) -> None:
-        if not isinstance(forms, Iterable):
-            raise GvError(f"a sequence needs an iterable of 1-forms, not {forms!r}")
+        _require(Iterable, "GVSequence forms", forms)
         forms = tuple(forms)
         chart = forms[0].chart if forms and isinstance(forms[0], DiffForm) else None
         super().__init__(chart, forms)
@@ -124,12 +125,7 @@ class GVSequence(FormalOmega):
         if forms[0].is_zero():
             raise GvError("the defining form omega_0 must be nonzero")
         if declared_length is not None:
-            if (
-                isinstance(declared_length, bool)
-                or not isinstance(declared_length, int)
-                or declared_length < 1
-            ):
-                raise GvError("declared length must be a positive integer")
+            declared_length = _require_int(declared_length, "the declared length", 1)
             if declared_length > len(forms):
                 raise GvError("declared length exceeds the stored entries")
             for k in range(declared_length, len(forms)):
@@ -145,11 +141,12 @@ class GVSequence(FormalOmega):
 
     def omega(self, k: int) -> DiffForm:
         """The k-th entry; zero past a declared finite length."""
-        if isinstance(k, int) and k >= len(self.coeffs) and not self.is_finite:
+        w = super().omega(k)  # which checks k
+        if k >= len(self.coeffs) and not self.is_finite:
             raise GvError(
                 f"entry {k} lies beyond the stored order {len(self.coeffs) - 1}"
             )
-        return super().omega(k)
+        return w
 
     def order(self) -> int:
         """Index of the last nonzero entry of a declared finite sequence."""
@@ -306,11 +303,6 @@ class PullbackReport:
 # helpers
 
 
-def _require_sequence(s) -> None:
-    if not isinstance(s, GVSequence):
-        raise GvError(f"expected a GVSequence, not {s!r}")
-
-
 def form_ratio(a: DiffForm, b: DiffForm) -> Optional[RatFn]:
     """The rational function q with a = q*b, or None when none exists.
 
@@ -319,8 +311,7 @@ def form_ratio(a: DiffForm, b: DiffForm) -> Optional[RatFn]:
     q = a_0/b_0 for one index 0, and a = q*b exactly when a_I*b_0 = a_0*b_I
     at every other index I, compared as cleared polynomial products.
     """
-    if not (isinstance(a, DiffForm) and isinstance(b, DiffForm)):
-        raise GvError(f"ratio needs two forms, not {a!r} and {b!r}")
+    _require(DiffForm, "form_ratio", a, b)
     if b.chart != a.chart or b.degree != a.degree:
         raise GvError("ratio needs two forms of one degree on one chart")
     if b.is_zero():
@@ -357,9 +348,8 @@ def _dlog(f: RatFn) -> DiffForm:
 
 
 def _gcd_combination(values: Sequence[int]) -> tuple[int, list[int]]:
-    """Positive gcd g of `values` and integers n_i with sum n_i*v_i = g."""
-    if not values:
-        raise GcdDegenerate("no exponents to combine")
+    """Positive gcd g of nonempty `values`, not all zero, and integers n_i
+    with sum n_i*v_i = g."""
     g = values[0]
     coeffs = [1]
     for v in values[1:]:
@@ -369,8 +359,6 @@ def _gcd_combination(values: Sequence[int]) -> tuple[int, list[int]]:
     if g < 0:
         g = -g
         coeffs = [-c for c in coeffs]
-    if g == 0:
-        raise GcdDegenerate("all exponents vanish")
     return g, coeffs
 
 
@@ -403,8 +391,7 @@ def gv_from_field(
     """
     if not isinstance(w, DiffForm) or w.degree != 1:
         raise GvError(f"the defining form must be a 1-form, not {w!r}")
-    if isinstance(upto, bool) or not isinstance(upto, int) or upto < 0:
-        raise GvError("the number of derivatives must be a nonnegative integer")
+    upto = _require_int(upto, "the number of derivatives")
     if not is_integrable(w):
         raise NotIntegrable("w /\\ dw is nonzero")
     pairing = form_apply(w, X)
@@ -430,7 +417,7 @@ def gv_verify(s: GVSequence) -> DefectReport:
     an undeclared prefix only determines the relations up to one below the
     stored order, so exactly those are checked.
     """
-    _require_sequence(s)
+    _require(GVSequence, "gv_verify", s)
     if s.is_finite:
         orders = tuple(_defect_orders(s))
     else:
@@ -457,7 +444,7 @@ def gv_rescale(s: GVSequence, f) -> GVSequence:
     which defines the same foliation.  Finite declarations are preserved
     (the tail is re-trimmed, since df/f may create or destroy an entry).
     """
-    _require_sequence(s)
+    _require(GVSequence, "gv_rescale", s)
     f = as_ratfn(s.chart, f)
     if f.is_zero():
         raise ZeroFunction("cannot rescale by the zero function")
@@ -491,11 +478,10 @@ def gv_shift(s: GVSequence, f, order: int = 1) -> GVSequence:
     for nonzero f: the substituted sequence is generally infinite, and only
     the stored prefix is returned.
     """
-    _require_sequence(s)
+    _require(GVSequence, "gv_shift", s)
     chart = s.chart
     f = as_ratfn(chart, f)
-    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
-        raise GvError("shift order must be an integer of at least 1")
+    order = _require_int(order, "the shift order", 1)
     if f.is_zero():
         return s
     one = chart.one()
@@ -510,8 +496,7 @@ def gv_shift(s: GVSequence, f, order: int = 1) -> GVSequence:
         # every input column is known, so expose one column past the shift
         width = max(width, order + 2)
         s = s.trimmed()
-    shifted = substitute_series(s, sub, upto=width - 1)
-    return GVSequence(shifted.coeffs[:width])
+    return GVSequence(substitute_series(s, sub, upto=width - 1).coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +511,7 @@ def flag_forms(s: GVSequence) -> FlagReport:
     products and omega_n for the drop, so an undeclared sequence whose
     stored prefix never degenerates raises.
     """
-    _require_sequence(s)
+    _require(GVSequence, "flag_forms", s)
     prefixes = [s.forms[0]]
     j = 1
     while True:
@@ -561,11 +546,10 @@ def flag_decompose(
     decomposition is re-checked exactly; any failure raises
     DecompositionFails.
     """
-    _require_sequence(s)
+    _require(GVSequence, "flag_decompose", s)
     if flag is None:
         flag = flag_forms(s)
-    elif not isinstance(flag, FlagReport):
-        raise GvError(f"expected a FlagReport, not {flag!r}")
+    _require(FlagReport, "flag_decompose", flag)
     n = flag.n
     target = s.omega(n)
     coeffs: list[RatFn] = []
@@ -603,7 +587,7 @@ def gv_invariant(s: GVSequence) -> DiffForm:
     -omega_1 /\ d omega_1 and is closed; both identities are re-checked.
     Its vanishing is the entry point for transversely projective behaviour.
     """
-    _require_sequence(s)
+    _require(GVSequence, "gv_invariant", s)
     if s.stored < 3 and not s.is_finite:
         raise GvError("the invariant needs the first three entries")
     w0, w1, w2 = s.omega(0), s.omega(1), s.omega(2)
@@ -632,7 +616,7 @@ def finite_gv_verify(s: GVSequence) -> FiniteGVReport:
     Each relation is one accumulation: d omega_k and its weighted wedges
     are summed into one `exterior._FormSum`, with no form built in between.
     """
-    _require_sequence(s)
+    _require(GVSequence, "finite_gv_verify", s)
     if not s.is_finite:
         raise GvError("finite verification needs a declared finite sequence")
     t = s.trimmed()
@@ -912,8 +896,7 @@ def finite_gv_pullback(
     exponent bookkeeping collapses.
     """
     n, t = _verified_order(s, "pullback analysis")
-    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
-        raise GvError("the degree bound must be a nonnegative integer")
+    degree = _require_int(degree, "the degree bound")
     chart = s.chart
     gfun = as_ratfn(chart, witness)
     omega = ext_d(gfun)
@@ -967,8 +950,6 @@ def finite_gv_pullback(
         )
     for k in ks:
         step = (k - 1) // r
-        if step * r != k - 1:
-            raise GcdDegenerate(f"exponent {k - 1} escapes the gcd {r}")
         q = hk[k] / hfun**step
         sol = _express_in_powers(q, gfun, degree)
         if sol is None:

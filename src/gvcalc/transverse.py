@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ChartMismatch, GaugeBreaksRelations, GvError, ZeroFunction
+from .errors import ChartMismatch, GaugeBreaksRelations, GvError, ZeroFunction, _require
 from .exterior import DiffForm, ext_d, pullback, wedge
 from .field import Chart, RatFn, as_ratfn
 from .zseries import FormalOmega, structure_defect
@@ -122,7 +122,7 @@ def triple_verify(t: Triple) -> TripleReport:
     checked as [w0, w1, 2 w2], whose order-2 defect is twice its own, so
     that one is halved.  The report lists one defect 2-form per relation.
     """
-    _require_triple(t)
+    _require(Triple, "triple_verify", t)
     om = FormalOmega(t.chart, t.converted(HALF).forms)
     d0, d1, d2 = (structure_defect(om, k) for k in range(3))
     if t.convention == FULL:
@@ -161,11 +161,6 @@ def classify_structure(
     return "none"
 
 
-def _require_triple(t) -> None:
-    if not isinstance(t, Triple):
-        raise GvError(f"expected a Triple, not {t!r}")
-
-
 def _gauge_check(t: Triple, stage: str) -> None:
     if not triple_verify(t).ok:
         raise GaugeBreaksRelations(
@@ -187,7 +182,7 @@ def triple_gauge_regular(t: Triple, f0, f1) -> Triple:
     a mis-tagged triple would silently rescale the wrong structure), and
     the output is re-verified; both failures raise GaugeBreaksRelations.
     """
-    _require_triple(t)
+    _require(Triple, "triple_gauge_regular", t)
     chart = t.chart
     f0 = as_ratfn(chart, f0)
     f1 = as_ratfn(chart, f1)
@@ -212,9 +207,8 @@ def triple_gauge(t: Triple, kind: str, fn) -> Triple:
 
         (w0,  w1 + 2 g w0,  w2 + g w1 + g^2 w0 - dg).
     """
-    _require_triple(t)
-    if not isinstance(kind, str):
-        raise GvError(f"a gauge move is 'F' or 'G', not {kind!r}")
+    _require(Triple, "triple_gauge", t)
+    _require(str, "triple_gauge", kind)
     kind = kind.upper()
     if kind == "F":
         f = as_ratfn(t.chart, fn)
@@ -253,8 +247,7 @@ def riccati_triple(
     When gamma = 0 the pair (w0, w1) is already a transversely affine
     certificate.
     """
-    if not isinstance(alpha, DiffForm):
-        raise GvError("alpha must be a 1-form")
+    _require(DiffForm, "riccati_triple alpha", alpha)
     chart = alpha.chart
     for w, slot in ((alpha, "alpha"), (beta, "beta"), (gamma, "gamma")):
         _check_form(w, chart, slot)

@@ -22,6 +22,7 @@ from collections.abc import Iterable
 from typing import Sequence
 
 from .errors import ChartMismatch, GvError, VanishingLeadCoefficient, ZeroDenominator
+from .errors import _require, _require_int
 from .field import Chart, MultiPoly, RatFn, _drop_variable, as_ratfn
 from .exterior import DiffForm, _FormSum, ext_d
 
@@ -55,8 +56,7 @@ class FormalOmega:
 
     def omega(self, k: int) -> DiffForm:
         """The k-th coefficient; zero beyond the stored range."""
-        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-            raise GvError("series index must be a nonnegative integer")
+        k = _require_int(k, "a series index")
         if k < len(self.coeffs):
             return self.coeffs[k]
         return DiffForm.zero(self.chart, 1)
@@ -83,11 +83,6 @@ class FormalOmega:
         return f"{type(self).__name__}({self})"
 
 
-def _require_series(om) -> None:
-    if not isinstance(om, FormalOmega):
-        raise GvError(f"expected a FormalOmega, not {om!r}")
-
-
 def _inv_factorial(chart: Chart, k: int) -> Fraction:
     p = chart.characteristic
     if p and k >= p:
@@ -110,9 +105,8 @@ def structure_defect(om: FormalOmega, k: int) -> DiffForm:
     accumulation: d w_k and each weighted wedge are summed into one
     `exterior._FormSum`, with no form built in between.
     """
-    _require_series(om)
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise GvError("defect index must be a nonnegative integer")
+    _require(FormalOmega, "structure_defect", om)
+    k = _require_int(k, "the defect index")
     acc = _FormSum(om.chart)
     acc.add_d(om.omega(k), 1)
     for j in range((k + 2) // 2):
@@ -129,19 +123,19 @@ def _defect_orders(om: FormalOmega) -> range:
 
 def structure_defects(om: FormalOmega) -> list[DiffForm]:
     """All possibly nonzero defects, indices 0 .. max(2N-1, 0)."""
-    _require_series(om)
+    _require(FormalOmega, "structure_defects", om)
     return [structure_defect(om, k) for k in _defect_orders(om)]
 
 
 def is_formal_integrable(om: FormalOmega) -> bool:
     """Whether every integrability defect of the sequence vanishes."""
-    _require_series(om)
+    _require(FormalOmega, "is_formal_integrable", om)
     return all(structure_defect(om, k).is_zero() for k in _defect_orders(om))
 
 
 def to_extended_form(om: FormalOmega, zname: str = "z") -> DiffForm:
     """The 1-form dz + sum z^k/k! w_k on the chart extended by z."""
-    _require_series(om)
+    _require(FormalOmega, "to_extended_form", om)
     if zname in om.chart.variables:
         raise GvError(f"variable {zname!r} already on the chart")
     ext = om.chart.extend(zname)
@@ -213,10 +207,8 @@ class Substitution:
     __slots__ = ("chart", "coeffs")
 
     def __init__(self, chart: Chart, coeffs: Sequence) -> None:
-        if not isinstance(chart, Chart):
-            raise GvError(f"a substitution needs a Chart, not {chart!r}")
-        if not isinstance(coeffs, Iterable):
-            raise GvError(f"substitution coefficients must be a sequence, not {coeffs!r}")
+        _require(Chart, "Substitution chart", chart)
+        _require(Iterable, "Substitution coefficients", coeffs)
         fs = [as_ratfn(chart, c) for c in coeffs]
         if len(fs) < 2:
             raise GvError("a substitution needs at least a linear coefficient")
@@ -238,8 +230,7 @@ class Substitution:
     @classmethod
     def normalized(cls, chart: Chart, tail: Sequence) -> "Substitution":
         """Build from (f_1, f_2, ...) with f_0 = 0."""
-        if not isinstance(tail, Iterable):
-            raise GvError(f"substitution coefficients must be a sequence, not {tail!r}")
+        _require(Iterable, "Substitution coefficients", tail)
         return cls(chart, [0, *tail])
 
     def __eq__(self, other) -> bool:
@@ -254,8 +245,7 @@ class Substitution:
 
 def compose_substitutions(s: Substitution, r: Substitution) -> Substitution:
     """The substitution z = s(r(u)), computed exactly."""
-    if not (isinstance(s, Substitution) and isinstance(r, Substitution)):
-        raise GvError(f"expected two substitutions, not {s!r} and {r!r}")
+    _require(Substitution, "compose_substitutions", s, r)
     if s.chart != r.chart:
         raise ChartMismatch("substitutions on different charts")
     chart = s.chart
@@ -326,16 +316,14 @@ def substitute_series(
     summed in one `exterior._FormSum`, each scalar as a degree-0 form.
     The default keeps two indices beyond the input length.
     """
-    _require_series(om)
-    if not isinstance(sub, Substitution):
-        raise GvError(f"expected a Substitution, not {sub!r}")
+    _require(FormalOmega, "substitute_series", om)
+    _require(Substitution, "substitute_series", sub)
     if om.chart != sub.chart:
         raise ChartMismatch("series and substitution on different charts")
     chart = om.chart
     if upto is None:
         upto = om.last_index + 2
-    if isinstance(upto, bool) or not isinstance(upto, int) or upto < 0:
-        raise GvError("truncation order must be a nonnegative integer")
+    upto = _require_int(upto, "the truncation order")
     p = chart.characteristic
     if p and (upto >= p or om.last_index >= p):
         raise GvError(

@@ -91,6 +91,8 @@ BAD_CALLS = {
     "MultiPoly.const(None, 1)": lambda: MultiPoly.const(None, 1),
     "MultiPoly.zero(None)": lambda: MultiPoly.zero(None),
     "MultiPoly.monomial(None, (1, 0))": lambda: MultiPoly.monomial(None, (1, 0)),
+    # a bool exponent once built x
+    "MultiPoly(chart, {(True, 0): 1})": lambda: MultiPoly(Q, {(True, 0): 1}),
     "RatFn.from_poly(None)": lambda: RatFn.from_poly(None),
     "poly_str(None)": lambda: poly_str(None),
     "GVSequence(dx)": lambda: GVSequence(DX),
@@ -178,6 +180,15 @@ BAD_CALLS = {
     # a 2-form and a str as w1/w2 once classified as "none" and "euclidean"
     "classify_structure(dz + z du, du^dz)": lambda: classify_structure(DZ + DU * Z, wedge(DU, DZ)),
     "classify_structure(dz, 'x')": lambda: classify_structure(DZ, "x"),
+    # bool is refused wherever an int is taken
+    "x ** True": lambda: XF**True,
+    "MultiPoly x ** True": lambda: X**True,
+    "x.diff(True)": lambda: XF.diff(True),
+    "DiffForm(chart, True, {})": lambda: DiffForm(Q, True, {}),
+    "DiffForm(chart, 1, {(True,): 1})": lambda: DiffForm(Q, 1, {(True,): 1}),
+    "vf_pth_power(X, True)": lambda: vf_pth_power(FIELD3, True),
+    "Chart(('x',), True)": lambda: Chart(("x",), True),
+    "batch_integrating_factors(3, True, 1)": lambda: batch_integrating_factors(3, True, 1),
 }
 
 
@@ -187,20 +198,39 @@ def test_bad_argument_raises_a_typed_error(call):
         call()
 
 
+class Order(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+class P(IntEnum):
+    THREE = 3
+
+
 def test_an_int_subclass_other_than_bool_is_an_order():
-    """Only bool is refused among the int subclasses."""
-
-    class Order(IntEnum):
-        ONE = 1
-        TWO = 2
-
+    """Only bool is refused among the int subclasses; the others act as the
+    plain int, and a stored one is a plain int."""
     assert substitute_series(OM, SUB, Order.TWO).length == 3
     assert structure_defect(OM, Order.TWO).is_zero()
     assert gv_shift(SEQ, U, Order.TWO) == gv_shift(SEQ, U, 2)
     assert OM.omega(Order.TWO).is_zero()
     assert CUBIC.omega(Order.TWO) == DU * (6 * Z)
-    assert GVSequence([DX], Order.ONE).declared_length == 1
+    declared = GVSequence([DX], Order.ONE).declared_length
+    assert declared == 1 and type(declared) is int
     assert finite_gv_pullback(CUBIC, CURVE.var("u"), Order.ONE).ramification == 2
+    # each of these refused every int subclass
+    assert XF ** Order.TWO == XF**2 and X ** Order.TWO == X**2
+    assert XF.diff(Order.ONE) == XF.diff(1) and X.diff(Order.ONE) == X.diff(1)
+    form = DiffForm(Q, Order.ONE, {})
+    assert form == DiffForm(Q, 1, {}) and type(form.degree) is int
+    form = DiffForm(Q, 1, {(Order.ONE,): 1})
+    assert form == DiffForm.coordinate(Q, "y") and type(next(iter(form.terms))[0]) is int
+    assert vf_pth_power(FIELD3, P.THREE) == vf_pth_power(FIELD3, 3)
+    chart = Chart(("x",), P.THREE)
+    assert chart == Chart(("x",), 3) and type(chart.characteristic) is int
+    assert batch_integrating_factors(P.THREE, Order.TWO, Order.ONE, degree=Order.ONE) == (
+        batch_integrating_factors(3, 2, 1, degree=1)
+    )
 
 
 def test_a_negative_variable_index_is_not_a_variable():

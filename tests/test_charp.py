@@ -39,7 +39,7 @@ from gvcalc import (
     vf_pth_power,
     wedge_all,
 )
-from gvcalc.charp import _closed_identity, _common_denominator, _default_frame_functions
+from gvcalc.charp import _cleared, _closed_identity, _common_denominator, _default_frame_functions
 from gvcalc.exterior import _FormSum
 from gvcalc.field import _gauss_jordan
 
@@ -371,9 +371,9 @@ class TestIntegratingFactor:
             x = chart.var("x")
             w = worked_form(chart)
             f = integrating_factor(w, fs=[chart.var("y")])
-            assert _closed_identity(f, w)
-            assert not _closed_identity(f * x, w)
-            assert not _closed_identity(chart.one(), w)
+            assert _closed_identity(f, _cleared(w))
+            assert not _closed_identity(f * x, _cleared(w))
+            assert not _closed_identity(chart.one(), _cleared(w))
 
 
 # sha256 of str(integrating_factor(_probe_form(i))), captured before the
@@ -495,18 +495,18 @@ def test_closed_identity_agrees_with_ext_d(p, dim):
         w = d_of(RatFn.from_poly(g)) * RatFn(a, b)
         factor = RatFn(b, a)
         others = [factor * RatFn.from_poly(q) ** p, RatFn(r, s), factor * RatFn(r, s)]
-        assert _closed_identity(factor, w) and _closed_identity(others[0], w)
+        assert _closed_identity(factor, _cleared(w)) and _closed_identity(others[0], _cleared(w))
         for f in [factor, *others]:
-            assert _closed_identity(f, w) == ext_d(w * f).is_zero() == unsplit_identity(f, w)
+            assert _closed_identity(f, _cleared(w)) == ext_d(w * f).is_zero() == unsplit_identity(f, w)
         # w = (a / s^p) dg has the factor s^p / a, whose numerator is a p-th power
         u = d_of(RatFn.from_poly(g)) * RatFn(a, s**p)
         for f in (RatFn(s**p, a), RatFn(s**p * r, a)):
-            assert _closed_identity(f, u) == ext_d(u * f).is_zero() == unsplit_identity(f, u)
-        assert _closed_identity(RatFn(s**p, a), u)
+            assert _closed_identity(f, _cleared(u)) == ext_d(u * f).is_zero() == unsplit_identity(f, u)
+        assert _closed_identity(RatFn(s**p, a), _cleared(u))
         # a form that need not be integrable
         v = DiffForm.one_form(chart, [RatFn(r, s), RatFn.from_poly(g)] + [RatFn(b, s)] * (dim - 2))
         for f in (RatFn(r, s), chart.one()):
-            assert _closed_identity(f, v) == ext_d(v * f).is_zero() == unsplit_identity(f, v)
+            assert _closed_identity(f, _cleared(v)) == ext_d(v * f).is_zero() == unsplit_identity(f, v)
 
     check()
 
@@ -536,10 +536,10 @@ def test_closed_identity_on_the_workload_factors(name):
         chart = w.chart
         x = chart.var("x")
         pth_powers += all(factor.num.diff(v).is_zero() for v in range(chart.dim))
-        assert _closed_identity(factor, w) and unsplit_identity(factor, w)
+        assert _closed_identity(factor, _cleared(w)) and unsplit_identity(factor, w)
         along_dx = wedge_all([w, d_of(x)]).is_zero()
         for f in (factor * x, factor * (x + 1)):
-            assert _closed_identity(f, w) == unsplit_identity(f, w) == along_dx
+            assert _closed_identity(f, _cleared(w)) == unsplit_identity(f, w) == along_dx
     assert pth_powers >= 50
 
 

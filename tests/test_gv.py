@@ -1,11 +1,15 @@
 import math
 import random
+import sys
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gvcalc
 from gvcalc import (
     AffineCertificate,
     Chart,
@@ -44,53 +48,18 @@ from gvcalc import (
     wedge,
 )
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
+
 
 def curve_chart() -> Chart:
     return Chart(("u", "z"), 0)
 
 
-def curve_sequence(hs):
-    """Finite sequence of the ODE form dz + sum h_k(u) z^k du.
-
-    `hs` lists the coefficients h_0 .. h_N as rational functions of u.
-    The k-th entry is the k-th z-derivative of the polynomial part times du,
-    which satisfies every structure relation on the (u, z) chart.
-    """
-    chart = curve_chart()
-    u, z = chart.var("u"), chart.var("z")
-    p = chart.zero()
-    for k, h in enumerate(hs):
-        p = p + h * z**k
-    du = DiffForm.coordinate(chart, "u")
-    dz = DiffForm.coordinate(chart, "z")
-    omega0 = dz + du * p
-    forms = [omega0]
-    n = len(hs) - 1
-    for k in range(1, n + 1):
-        acc = chart.zero()
-        for j in range(k, n + 1):
-            c = math.factorial(j) // math.factorial(j - k)
-            acc = acc + hs[j] * z ** (j - k) * chart.const(c)
-        forms.append(du * acc)
-    return GVSequence(forms, n + 1)
-
-
-def unshift(columns):
-    """Undo the unit translation of the transverse coordinate.
-
-    Given plain columns wt_0 .. wt_N with the subleading one zero, returns
-    the factorial-weight entries of the sequence whose normalization they
-    are: omega_j = j! * sum_{k>=j} C(k, j) wt_k.
-    """
-    n = len(columns) - 1
-    chart = columns[0].chart
-    out = []
-    for j in range(n + 1):
-        acc = DiffForm.zero(chart, 1)
-        for k in range(j, n + 1):
-            acc = acc + columns[k] * chart.const(math.comb(k, j))
-        out.append(acc * chart.const(math.factorial(j)))
-    return GVSequence(out, n + 1)
+# the perfbench generators, which build the same sequences for the benchmark
+curve_sequence = partial(workloads.curve_sequence, gvcalc)
+unshift = partial(workloads.unshift, gvcalc)
 
 
 @pytest.fixture
