@@ -3,6 +3,10 @@
 A private helper (a name starting with `_`) is read somewhere under
 `src/gvcalc/` outside its own definition: as a name, an attribute, or an
 imported name.  A helper whose last caller went away fails here.
+
+The single-class guards that once lived in their own modules were folded
+into `errors._require`; each such module now guards its class through that
+call and defines no guard of its own again.
 """
 
 import ast
@@ -48,3 +52,43 @@ def test_every_private_helper_is_used(path: Path, node: ast.AST):
     # a helper that only calls itself is still unused
     outside = USES[node.name] - references(node)[node.name]
     assert outside > 0, f"{path.name}: {node.name} is never used"
+
+
+# (module, deleted guard, class it guarded): the class is now guarded by
+# `errors._require(cls, ...)` in that module
+RETIRED_GUARDS = [
+    ("field.py", "_require_chart", "Chart"),
+    ("field.py", "_require_polys", "MultiPoly"),
+    ("gv.py", "_require_sequence", "GVSequence"),
+    ("transverse.py", "_require_triple", "Triple"),
+    ("zseries.py", "_require_series", "FormalOmega"),
+]
+
+
+def require_classes(tree: ast.AST) -> set[str]:
+    """The class names passed first to `_require(...)` under a node."""
+    return {
+        node.args[0].id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_require"
+        and node.args
+        and isinstance(node.args[0], ast.Name)
+    }
+
+
+@pytest.mark.parametrize(
+    "module, guard, cls",
+    RETIRED_GUARDS,
+    ids=[f"{module}:{guard}" for module, guard, _ in RETIRED_GUARDS],
+)
+def test_retired_guard_is_errors_require(module: str, guard: str, cls: str):
+    (tree,) = [tree for path, tree in TREES.items() if path.name == module]
+    defined = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert guard not in defined, f"{module}: {guard} is back; use errors._require"
+    assert cls in require_classes(tree), f"{module} no longer guards {cls}"
