@@ -36,7 +36,6 @@ from operator import add
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
-    ChartMismatch,
     DegenerateFrame,
     GvError,
     NotIntegrable,
@@ -45,11 +44,13 @@ from .errors import (
     ZeroFunction,
     _require,
     _require_int,
+    _require_same_chart,
 )
 from .exterior import (
     DiffForm,
     VectorField,
     _FormSum,
+    _require_one_forms,
     d_of,
     ext_d,
     is_integrable,
@@ -210,9 +211,7 @@ def dual_frame(w: DiffForm, fs: Optional[Sequence] = None) -> DualFrame:
     closed, and dw = w ^ eta with w(X_i) = w(X_j) = 0, so the nonzero
     coframe annihilates [X_i, X_j].
     """
-    if not isinstance(w, DiffForm) or w.degree != 1:
-        raise GvError(f"dual frames are built from a 1-form, not {w!r}")
-    chart = w.chart
+    chart = _require_one_forms("dual_frame", w)
     if chart.characteristic == 0:
         raise GvError("dual frames are a positive-characteristic construction")
     forms = _coframe(w, fs)
@@ -366,9 +365,7 @@ def integrating_factor(w: DiffForm, fs: Optional[Sequence] = None) -> RatFn:
     then closed under p-th powers and the form is proportional to an exact
     differential, a case this routine reports rather than resolves.
     """
-    if not isinstance(w, DiffForm) or w.degree != 1:
-        raise GvError(f"integrating factors are sought for a 1-form, not {w!r}")
-    chart = w.chart
+    chart = _require_one_forms("integrating_factor", w)
     p = chart.characteristic
     if p == 0:
         raise GvError("integrating factors are a positive-characteristic construction")
@@ -433,14 +430,12 @@ def invariant_hypersurface_candidates(
     True; the rest carry False rather than a guess.  The zero function
     raises ZeroFunction: d(0*w) = 0 would pass the certificate vacuously.
     """
-    if not (isinstance(factor, RatFn) and isinstance(w, DiffForm)) or w.degree != 1:
-        raise GvError(f"the sieve needs a rational function and a 1-form, not {factor!r}, {w!r}")
-    chart = factor.chart
+    _require(RatFn, "invariant_hypersurface_candidates", factor)
+    chart = _require_one_forms("invariant_hypersurface_candidates", w)
     p = chart.characteristic
     if p == 0:
         raise GvError("hypersurface sieving is a positive-characteristic routine")
-    if w.chart != chart:
-        raise ChartMismatch("the factor and the form live on different charts")
+    _require_same_chart(chart, "invariant_hypersurface_candidates", factor)
     if factor.is_zero():
         raise ZeroFunction("the zero function is not an integrating factor")
     if not _closed_identity(factor, _cleared(w)):

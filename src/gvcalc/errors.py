@@ -4,7 +4,9 @@ argument policy of its public boundary.
 An int argument (a length, an order, an index, a degree bound, a
 characteristic or a seed) may be any int except a bool, and an int subclass
 is stored as a plain int; `_require_int` is the one place that decides it.
-`_require` is the one guard for an argument that must be of a given class.
+`_require` is the one guard for an argument that must be of a given class
+(or of one of several), and `_require_same_chart` the one that raises a
+boundary `ChartMismatch`.
 """
 
 from __future__ import annotations
@@ -78,8 +80,18 @@ def _require_int(value, what: str, least: int | None = 0) -> int:
     return value
 
 
-def _require(cls: type, what: str, *values) -> None:
-    """Raise GvError on the first of `values` that is not a `cls`."""
+def _require(cls: type | tuple[type, ...], what: str, *values) -> None:
+    """Raise GvError on the first of `values` that is not a `cls` (a class or a tuple)."""
     for value in values:
         if not isinstance(value, cls):
-            raise GvError(f"{what}: expected {cls.__name__}, not {value!r}")
+            names = " or ".join(c.__name__ for c in cls) if isinstance(cls, tuple) else cls.__name__
+            raise GvError(f"{what}: expected {names}, not {value!r}")
+
+
+def _require_same_chart(chart, what: str, *values) -> None:
+    """Raise ChartMismatch on the first of `values` whose chart is not `chart`."""
+    for value in values:
+        other = value.chart
+        # charts are shared objects, so the identity test settles almost every call
+        if other is not chart and other != chart:
+            raise ChartMismatch(f"{what}: operands on different charts")

@@ -15,17 +15,22 @@ per index that is raised to the lcm when a term with another one arrives;
 any other term is kept as a `RatFn` pair.  The in-place sums become one
 `RatFn` per index at the end, and the pairs, if any, are added to them in
 `_collect`.
+
+`_require_one_forms` is the one guard for 1-form arguments in the package.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import ChartMismatch, GvError, ZeroFunction, _require, _require_int
-from .field import Chart, MultiPoly, RatFn, _UNIT, _coerce, _one, _over_one, _reduced, as_ratfn
+from .errors import _require_same_chart
+from .field import Chart, MultiPoly, RatFn, _UNIT, _as_tuple, _coerce, _one, _over_one, _reduced
+from .field import as_ratfn
 from .intpoly import _diff_terms, _mul_terms, _times, _var
 
 
@@ -43,7 +48,8 @@ class DiffForm:
             terms = {}
         clean: dict[tuple[int, ...], RatFn] = {}
         for idx, c in terms.items():
-            idx = tuple(_require_int(i, "a form index entry") for i in _index(idx))
+            idx = _as_tuple(idx, "a form index")
+            idx = tuple(_require_int(i, "a form index entry") for i in idx)
             if len(idx) != degree:
                 raise GvError(f"index {idx} does not match degree {degree}")
             if any(i >= chart.dim for i in idx):
@@ -77,8 +83,7 @@ class DiffForm:
 
     @classmethod
     def from_function(cls, f: RatFn) -> "DiffForm":
-        if not isinstance(f, (RatFn, MultiPoly)):
-            raise GvError(f"a 0-form needs a rational function, not {f!r}")
+        _require((RatFn, MultiPoly), "a 0-form", f)
         return cls(f.chart, 0, {(): f})
 
     @classmethod
@@ -101,7 +106,7 @@ class DiffForm:
         return not self.terms
 
     def coeff(self, idx: Sequence[int]) -> RatFn:
-        return self.terms.get(_index(idx), self.chart.zero())
+        return self.terms.get(_as_tuple(idx, "a form index"), self.chart.zero())
 
     def coeffs(self) -> tuple[RatFn, ...]:
         """Coefficient vector of a 1-form in chart order."""
@@ -184,12 +189,15 @@ class DiffForm:
 _set_chart, _set_degree, _set_terms = (DiffForm.__dict__[n].__set__ for n in DiffForm.__slots__)
 
 
-def _index(idx) -> tuple:
-    """A form index as a tuple; anything that is not a sequence raises GvError."""
-    try:
-        return tuple(idx)
-    except TypeError:
-        raise GvError(f"a form index must be a sequence of ints, not {idx!r}") from None
+def _require_one_forms(what: str, *forms) -> Chart:
+    """The one chart of `forms`: GvError unless each is a 1-form,
+    ChartMismatch unless they share a chart."""
+    for w in forms:
+        if not isinstance(w, DiffForm) or w.degree != 1:
+            raise GvError(f"{what}: expected a 1-form, not {w!r}")
+    chart = forms[0].chart
+    _require_same_chart(chart, what, *forms[1:])
+    return chart
 
 
 def _collect(chart: Chart, degree: int, pairs: Iterable) -> DiffForm:
@@ -317,8 +325,7 @@ def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]):
 def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     """Exterior product."""
     _require(DiffForm, "wedge", a, b)
-    if a.chart != b.chart:
-        raise ChartMismatch("forms on different charts")
+    _require_same_chart(a.chart, "wedge", b)
     chart = a.chart
     deg = a.degree + b.degree
     if deg > chart.dim:
@@ -330,20 +337,18 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
 
 def wedge_all(forms: Sequence[DiffForm]) -> DiffForm:
     """Left-to-right exterior product of a nonempty sequence."""
+    _require(Sequence, "wedge_all", forms)
     if not forms:
         raise GvError("empty wedge")
-    acc = forms[0]
-    for f in forms[1:]:
-        acc = wedge(acc, f)
-    return acc
+    _require(DiffForm, "wedge_all", *forms)
+    return reduce(wedge, forms)
 
 
 def ext_d(a) -> DiffForm:
     """Exterior derivative; accepts a form or a rational function."""
+    _require((DiffForm, RatFn), "ext_d", a)
     if isinstance(a, RatFn):
         a = DiffForm.from_function(a)
-    elif not isinstance(a, DiffForm):
-        raise GvError(f"ext_d needs a form or a rational function, not {a!r}")
     chart = a.chart
     if a.degree >= chart.dim:
         return DiffForm.zero(chart, a.degree + 1)
@@ -354,6 +359,7 @@ def ext_d(a) -> DiffForm:
 
 def d_of(f: RatFn) -> DiffForm:
     """The differential of a function as a 1-form."""
+    _require(RatFn, "d_of", f)
     return ext_d(f)
 
 
@@ -392,8 +398,7 @@ class VectorField:
     def __add__(self, other: "VectorField") -> "VectorField":
         if not isinstance(other, VectorField):
             return NotImplemented
-        if self.chart != other.chart:
-            raise ChartMismatch("vector fields on different charts")
+        _require_same_chart(self.chart, "VectorField +", other)
         return VectorField(
             self.chart, [a + b for a, b in zip(self.components, other.components)]
         )
@@ -415,8 +420,7 @@ class VectorField:
     def apply(self, f: RatFn) -> RatFn:
         """Directional derivative X(f)."""
         _require(RatFn, "VectorField.apply", f)
-        if f.chart != self.chart:
-            raise ChartMismatch("vector field and function on different charts")
+        _require_same_chart(self.chart, "VectorField.apply", f)
         out = self.chart.zero()
         for i, c in enumerate(self.components):
             if not c.is_zero():
@@ -426,8 +430,7 @@ class VectorField:
     def bracket(self, other: "VectorField") -> "VectorField":
         """Lie bracket [X, Y]."""
         _require(VectorField, "VectorField.bracket", other)
-        if self.chart != other.chart:
-            raise ChartMismatch("vector fields on different charts")
+        _require_same_chart(self.chart, "VectorField.bracket", other)
         comps = [
             self.apply(oc) - other.apply(sc)
             for sc, oc in zip(self.components, other.components)
@@ -447,8 +450,7 @@ def interior(x: VectorField, a: DiffForm) -> DiffForm:
     """Interior product i_X in the first slot."""
     _require(VectorField, "interior", x)
     _require(DiffForm, "interior", a)
-    if x.chart != a.chart:
-        raise ChartMismatch("vector field and form on different charts")
+    _require_same_chart(x.chart, "interior", a)
     if a.degree == 0:
         raise GvError("interior product needs degree at least 1")
 
@@ -465,15 +467,14 @@ def interior(x: VectorField, a: DiffForm) -> DiffForm:
 
 def form_apply(a: DiffForm, x: VectorField) -> RatFn:
     """Evaluate a 1-form on a vector field."""
-    if not isinstance(a, DiffForm) or a.degree != 1:
-        raise GvError("form_apply expects a 1-form")
+    _require_one_forms("form_apply", a)
     return interior(x, a).scalar()
 
 
 def lie_derivative(x: VectorField, a) -> "DiffForm | RatFn":
     """Lie derivative along X via the homotopy formula."""
-    if not (isinstance(x, VectorField) and isinstance(a, (RatFn, DiffForm))):
-        raise GvError(f"a Lie derivative needs a field and a form or function, not {x!r}, {a!r}")
+    _require(VectorField, "lie_derivative", x)
+    _require((RatFn, DiffForm), "lie_derivative", a)
     if isinstance(a, RatFn):
         return x.apply(a)
     if a.degree == 0:
@@ -483,17 +484,13 @@ def lie_derivative(x: VectorField, a) -> "DiffForm | RatFn":
 
 def is_integrable(omega: DiffForm) -> bool:
     """Whether a 1-form satisfies omega ^ d(omega) = 0."""
-    _require(DiffForm, "is_integrable", omega)
-    if omega.degree != 1:
-        raise GvError("integrability is a condition on 1-forms")
+    _require_one_forms("is_integrable", omega)
     return wedge(omega, ext_d(omega)).is_zero()
 
 
 def same_foliation(a: DiffForm, b: DiffForm) -> bool:
     """Whether two nonzero integrable 1-forms have proportional kernels."""
-    _require(DiffForm, "same_foliation", a, b)
-    if a.degree != 1 or b.degree != 1:
-        raise GvError("foliation comparison expects 1-forms")
+    _require_one_forms("same_foliation", a, b)
     if a.is_zero() or b.is_zero():
         raise ZeroFunction("foliation comparison needs nonzero forms")
     return wedge(a, b).is_zero()
@@ -506,15 +503,13 @@ def pullback(phi: Sequence[RatFn], a: DiffForm) -> DiffForm:
     the source chart.  Functions substitute; d commutes with the pullback.
     """
     _require(DiffForm, "pullback", a)
-    if not (isinstance(phi, Sequence) and all(isinstance(f, RatFn) for f in phi)):
-        raise GvError(f"pullback map entries must be rational functions, not {phi!r}")
+    _require(Sequence, "pullback map", phi)
+    _require(RatFn, "pullback map entries", *phi)
     if a.degree == 0:
         return DiffForm.from_function(a.scalar().substitute(phi))
-    if not phi:
-        raise GvError("empty pullback map")
-    src = phi[0].chart
     if len(phi) != a.chart.dim:
         raise GvError("pullback map needs one entry per target variable")
+    src = phi[0].chart
     diffs = [ext_d(f) for f in phi]
     out = DiffForm.zero(src, a.degree)
     for idx, c in a.terms.items():

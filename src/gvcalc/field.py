@@ -26,7 +26,8 @@ exponent and coerces every coefficient, and the public functions check the
 types of their arguments with `errors._require` (the class) and
 `errors._require_int` (an int argument: no bool, stored as a plain int),
 while internal results, canonical by construction, go through the trusted
-`MultiPoly._raw`, which checks nothing.
+`MultiPoly._raw`, which checks nothing.  `as_ratfn` is the one coercion of a
+scalar or a polynomial into a `RatFn`, and the `RatFn` operators share its core.
 
 Products, sums, greatest common divisors and exact division run on the
 integer dictionaries themselves (`intpoly`, one core for Q and F_p); a
@@ -46,12 +47,13 @@ object, so instances can be shared freely between threads.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from .errors import ChartMismatch, GvError, ZeroDenominator, _require, _require_int
+from .errors import _require_same_chart
 from .intpoly import HALF, MASK, W, _add_terms, _diff_terms, _div_terms, _gcd_terms, _heu_gcd
 from .intpoly import _min_exp, _mul_terms, _pack, _times, _unpack, _var
 
@@ -152,9 +154,17 @@ def _coerce(chart: Chart, c) -> Scalar:
     raise GvError(f"bad coefficient {c!r} for characteristic {p}")
 
 
+def _as_tuple(value, what: str) -> tuple:
+    """`value` as a tuple; anything that is not iterable raises GvError."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise GvError(f"{what} must be a sequence, not {value!r}") from None
+
+
 def _key(n: int, exp) -> int:
     """The key of an exponent tuple on n variables; GvError if it is not one."""
-    exp = tuple(exp)
+    exp = _as_tuple(exp, "an exponent")
     if len(exp) != n or any(_require_int(e, "an exponent", None) < 0 for e in exp):
         raise GvError(f"bad exponent {exp} for chart of dimension {n}")
     if sum(exp) >= HALF:
@@ -175,7 +185,7 @@ class _Terms(Mapping):
         f = self._f
         try:
             c = f._ints[_key(f.chart.dim, exp)]
-        except (GvError, KeyError, TypeError):
+        except (GvError, KeyError):
             raise KeyError(exp) from None
         return c if f.chart.characteristic else Fraction(c, f._den)
 
@@ -255,7 +265,7 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, chart: Chart, exp: Sequence[int], coeff: Scalar = 1) -> "MultiPoly":
-        return cls(chart, {tuple(exp): coeff})
+        return cls(chart, {_as_tuple(exp, "an exponent"): coeff})
 
     # -- basic queries -------------------------------------------------
 
@@ -280,7 +290,8 @@ class MultiPoly:
             return -1
         return max(self._ints) >> W * self.chart.dim
 
-    def degree_in(self, v: int) -> int:
+    def degree_in(self, v: int | str) -> int:
+        v = _variable_index(self.chart, v)
         if not self._ints:
             return -1
         s = _var(self.chart.dim, v)[0]
@@ -293,8 +304,9 @@ class MultiPoly:
         exp = _unpack(max(self._ints), self.chart.dim)
         return exp, self.terms[exp]
 
-    def coeff_of_power(self, v: int, k: int) -> "MultiPoly":
+    def coeff_of_power(self, v: int | str, k: int) -> "MultiPoly":
         """The coefficient of x_v^k, as a polynomial with x_v-exponent zero."""
+        v, k = _variable_index(self.chart, v), _require_int(k, "a power")
         s, u = _var(self.chart.dim, v)
         part = {e - k * u: c for e, c in self._ints.items() if e >> s & MASK == k}
         return _reduced(self.chart, part, self._den)
@@ -342,10 +354,8 @@ class MultiPoly:
         return MultiPoly._raw(self.chart, ints, self._den)
 
     def __sub__(self, other) -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = MultiPoly.const(self.chart, other)
+        if not isinstance(other, (MultiPoly, int, Fraction)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "MultiPoly":
@@ -426,14 +436,12 @@ class MultiPoly:
 
     def substitute(self, values: Sequence["RatFn"]) -> "RatFn":
         """Evaluate at rational functions, one per chart variable, on their chart."""
+        _require(Sequence, "substitute", values)
         if len(values) != self.chart.dim:
             raise GvError("substitute needs one value per variable")
-        if not values:
-            raise GvError("empty substitution")
+        _require(RatFn, "substitute", *values)
         target = values[0].chart
-        for v in values:
-            if v.chart != target:
-                raise ChartMismatch("substitution values on different charts")
+        _require_same_chart(target, "substitute", *values)
         powers: list[dict[int, RatFn]] = [dict() for _ in values]
 
         def var_power(i: int, k: int) -> RatFn:
@@ -597,8 +605,7 @@ def _cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiP
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """The greatest common divisor, monic under graded-lex; divides both inputs."""
     _require(MultiPoly, "poly_gcd", a, b)
-    if a.chart != b.chart:
-        raise ChartMismatch("gcd of polynomials on different charts")
+    _require_same_chart(a.chart, "poly_gcd", b)
     if a.is_zero():
         return b.monic()
     if b.is_zero():
@@ -609,8 +616,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Exact quotient a / b; raises if b does not divide a."""
     _require(MultiPoly, "exact_div", a, b)
-    if a.chart != b.chart:
-        raise ChartMismatch("division of polynomials on different charts")
+    _require_same_chart(a.chart, "exact_div", b)
     if b.is_zero():
         raise ZeroDenominator("division by the zero polynomial")
     if a.is_zero():
@@ -739,17 +745,6 @@ class RatFn:
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
-    def _coerce_other(self, other) -> "RatFn | None":
-        if isinstance(other, RatFn):
-            if other.chart != self.chart:
-                raise ChartMismatch("rational functions on different charts")
-            return other
-        if isinstance(other, MultiPoly):
-            return RatFn._raw(other, _one(other.chart))
-        if isinstance(other, (int, Fraction)):
-            return self.chart.const(other)
-        return None
-
     def __add__(self, other) -> "RatFn":
         if type(other) is RatFn:
             if self.den._ints == _UNIT and other.den._ints == _UNIT:
@@ -758,7 +753,7 @@ class RatFn:
         elif isinstance(other, (int, Fraction)):
             # gcd(num + c*den, den) = gcd(num, den) = 1: already reduced
             return RatFn._raw(self.num + self.den * other, self.den)
-        o = self._coerce_other(other)
+        o = _as_ratfn(self.chart, other)
         if o is None:
             return NotImplemented
         if self.is_zero():
@@ -790,7 +785,7 @@ class RatFn:
     def __sub__(self, other) -> "RatFn":
         if type(other) is not RatFn and isinstance(other, (int, Fraction)):
             return self + (-other)
-        o = self._coerce_other(other)
+        o = _as_ratfn(self.chart, other)
         if o is None:
             return NotImplemented
         return self + (-o)
@@ -805,7 +800,7 @@ class RatFn:
         elif isinstance(other, (int, Fraction)):
             # a zero scalar, or one that vanishes mod p, gives the zero function
             return RatFn._raw(self.num * other, self.den)
-        o = self._coerce_other(other)
+        o = _as_ratfn(self.chart, other)
         if o is None:
             return NotImplemented
         if self.is_zero() or o.is_zero():
@@ -821,7 +816,7 @@ class RatFn:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RatFn":
-        o = self._coerce_other(other)
+        o = _as_ratfn(self.chart, other)
         if o is None:
             return NotImplemented
         return self * o.inv()
@@ -831,7 +826,7 @@ class RatFn:
             # a scalar over a reduced fraction needs no gcd
             inv = self.inv()
             return RatFn._raw(inv.num * other, inv.den)
-        o = self._coerce_other(other)
+        o = _as_ratfn(self.chart, other)
         if o is None:
             return NotImplemented
         return o / self
@@ -898,8 +893,7 @@ def _over_one(num: MultiPoly, one: MultiPoly) -> RatFn:
 def rf_normalize(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """Reduce to coprime parts with monic denominator. Raises on zero denominator."""
     _require(MultiPoly, "a rational function", num, den)
-    if num.chart != den.chart:
-        raise ChartMismatch("numerator and denominator on different charts")
+    _require_same_chart(num.chart, "a rational function", den)
     if not (num.is_zero() or den.is_constant()):
         _, num, den = _cofactors(num, den)
     # _raw raises on a zero denominator and makes the denominator monic
@@ -909,17 +903,22 @@ def rf_normalize(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
 
 def as_ratfn(chart: Chart, value) -> RatFn:
     """Coerce an int, Fraction, MultiPoly, or RatFn onto the chart."""
-    if isinstance(value, RatFn):
-        if value.chart != chart:
-            raise ChartMismatch("value on a different chart")
-        return value
-    if isinstance(value, MultiPoly):
-        if value.chart != chart:
-            raise ChartMismatch("value on a different chart")
-        return RatFn._raw(value, _one(chart))
+    _require(Chart, "as_ratfn chart", chart)
+    f = _as_ratfn(chart, value)
+    if f is None:
+        raise GvError(f"cannot coerce {value!r} to a rational function")
+    return f
+
+
+def _as_ratfn(chart: Chart, value) -> "RatFn | None":
+    """`value` as a RatFn on `chart`; None for a value of no scalar or function
+    type, for which the `RatFn` operators return NotImplemented."""
+    if isinstance(value, (RatFn, MultiPoly)):
+        _require_same_chart(chart, "a rational function", value)
+        return value if isinstance(value, RatFn) else RatFn._raw(value, _one(chart))
     if isinstance(value, (int, Fraction)):
         return chart.const(value)
-    raise GvError(f"cannot coerce {value!r} to a rational function")
+    return None
 
 
 def _gauss_jordan(rows: list[list], width: int) -> list[int]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import (
     DecompositionFails,
@@ -44,11 +44,13 @@ from .errors import (
     ZeroFunction,
     _require,
     _require_int,
+    _require_same_chart,
 )
 from .exterior import (
     DiffForm,
     VectorField,
     _FormSum,
+    _require_one_forms,
     ext_d,
     form_apply,
     is_integrable,
@@ -58,7 +60,7 @@ from .exterior import (
     wedge,
     wedge_all,
 )
-from .field import Chart, MultiPoly, RatFn, _cleared_terms, _gauss_jordan, as_ratfn
+from .field import Chart, MultiPoly, RatFn, _as_tuple, _cleared_terms, _gauss_jordan, as_ratfn
 from .zseries import (
     FormalOmega,
     Substitution,
@@ -116,8 +118,7 @@ class GVSequence(FormalOmega):
         forms: Sequence[DiffForm],
         declared_length: Optional[int] = None,
     ) -> None:
-        _require(Iterable, "GVSequence forms", forms)
-        forms = tuple(forms)
+        forms = _as_tuple(forms, "GVSequence forms")
         chart = forms[0].chart if forms and isinstance(forms[0], DiffForm) else None
         super().__init__(chart, forms)
         if chart.characteristic != 0:
@@ -312,8 +313,9 @@ def form_ratio(a: DiffForm, b: DiffForm) -> Optional[RatFn]:
     at every other index I, compared as cleared polynomial products.
     """
     _require(DiffForm, "form_ratio", a, b)
-    if b.chart != a.chart or b.degree != a.degree:
-        raise GvError("ratio needs two forms of one degree on one chart")
+    _require_same_chart(a.chart, "form_ratio", b)
+    if b.degree != a.degree:
+        raise GvError("ratio needs two forms of one degree")
     if b.is_zero():
         raise ZeroFunction("ratio by the zero form")
     if a.is_zero():
@@ -389,8 +391,7 @@ def gv_from_field(
     omega_k(X) = 0 for k > 0.  When some derivative vanishes the whole tail
     does, and the sequence is returned with the finite length declared.
     """
-    if not isinstance(w, DiffForm) or w.degree != 1:
-        raise GvError(f"the defining form must be a 1-form, not {w!r}")
+    _require_one_forms("gv_from_field", w)
     upto = _require_int(upto, "the number of derivatives")
     if not is_integrable(w):
         raise NotIntegrable("w /\\ dw is nonzero")

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ChartMismatch, GaugeBreaksRelations, GvError, ZeroFunction, _require
-from .exterior import DiffForm, ext_d, pullback, wedge
+from .errors import GaugeBreaksRelations, GvError, ZeroFunction, _require
+from .exterior import DiffForm, _require_one_forms, ext_d, pullback, wedge
 from .field import Chart, RatFn, as_ratfn
 from .zseries import FormalOmega, structure_defect
 
@@ -48,13 +48,6 @@ HALF = "half"
 FULL = "full"
 
 
-def _check_form(w: DiffForm, chart: Chart, slot: str) -> None:
-    if not isinstance(w, DiffForm) or w.degree != 1:
-        raise GvError(f"{slot} must be a 1-form")
-    if w.chart != chart:
-        raise ChartMismatch(f"{slot} lives on a different chart")
-
-
 @dataclass(frozen=True)
 class Triple:
     """A projective triple with an explicit convention tag."""
@@ -67,13 +60,9 @@ class Triple:
     def __post_init__(self) -> None:
         if self.convention not in (HALF, FULL):
             raise GvError(f"unknown convention {self.convention!r}")
-        chart = self.w0.chart if isinstance(self.w0, DiffForm) else None
-        if chart is None:
-            raise GvError("w0 must be a 1-form")
+        chart = _require_one_forms("Triple", *self.forms)
         if chart.characteristic != 0:
             raise GvError("projective triples require characteristic zero")
-        for w, slot in ((self.w0, "w0"), (self.w1, "w1"), (self.w2, "w2")):
-            _check_form(w, chart, slot)
         if self.w0.is_zero():
             raise GvError("the defining form w0 must be nonzero")
 
@@ -86,9 +75,7 @@ class Triple:
         return (self.w0, self.w1, self.w2)
 
     def converted(self, convention: str) -> "Triple":
-        """The same structure expressed in the other convention."""
-        if convention not in (HALF, FULL):
-            raise GvError(f"unknown convention {convention!r}")
+        """The same structure expressed in the other convention (`Triple` checks its name)."""
         if convention == self.convention:
             return self
         if convention == FULL:
@@ -142,11 +129,7 @@ def classify_structure(
     either convention, and "none" otherwise.  This classifies the given
     certificate only; it is not a decision procedure for the foliation.
     """
-    if not isinstance(w0, DiffForm) or w0.degree != 1:
-        raise GvError("w0 must be a 1-form")
-    for w, slot in ((w1, "w1"), (w2, "w2")):
-        if w is not None:
-            _check_form(w, w0.chart, slot)
+    _require_one_forms("classify_structure", w0, *(w for w in (w1, w2) if w is not None))
     if w0.is_zero():
         raise ZeroFunction("w0 must be nonzero")
     if ext_d(w0).is_zero():
@@ -247,10 +230,7 @@ def riccati_triple(
     When gamma = 0 the pair (w0, w1) is already a transversely affine
     certificate.
     """
-    _require(DiffForm, "riccati_triple alpha", alpha)
-    chart = alpha.chart
-    for w, slot in ((alpha, "alpha"), (beta, "beta"), (gamma, "gamma")):
-        _check_form(w, chart, slot)
+    chart = _require_one_forms("riccati_triple", alpha, beta, gamma)
     product, proj = _with_fiber(chart, fiber)
     a = pullback(proj, alpha)
     b = pullback(proj, beta)

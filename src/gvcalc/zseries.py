@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from collections.abc import Iterable
 from typing import Sequence
 
-from .errors import ChartMismatch, GvError, VanishingLeadCoefficient, ZeroDenominator
-from .errors import _require, _require_int
-from .field import Chart, MultiPoly, RatFn, _drop_variable, as_ratfn
-from .exterior import DiffForm, _FormSum, ext_d
+from .errors import GvError, VanishingLeadCoefficient, ZeroDenominator
+from .errors import _require, _require_int, _require_same_chart
+from .field import Chart, MultiPoly, RatFn, _as_tuple, _drop_variable, as_ratfn
+from .exterior import DiffForm, _FormSum, _require_one_forms, ext_d
 
 
 class FormalOmega:
@@ -33,15 +32,13 @@ class FormalOmega:
     __slots__ = ("chart", "coeffs")
 
     def __init__(self, chart: Chart, coeffs: Sequence[DiffForm]) -> None:
+        coeffs = _as_tuple(coeffs, "FormalOmega coefficients")
         if not coeffs:
             raise GvError("a series needs at least the constant coefficient")
-        for w in coeffs:
-            if not isinstance(w, DiffForm) or w.degree != 1:
-                raise GvError("series coefficients must be 1-forms")
-            if w.chart != chart:
-                raise ChartMismatch("series coefficient on a different chart")
+        _require_one_forms("FormalOmega", *coeffs)
+        _require_same_chart(chart, "FormalOmega", coeffs[0])
         object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, *a) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -136,9 +133,7 @@ def is_formal_integrable(om: FormalOmega) -> bool:
 def to_extended_form(om: FormalOmega, zname: str = "z") -> DiffForm:
     """The 1-form dz + sum z^k/k! w_k on the chart extended by z."""
     _require(FormalOmega, "to_extended_form", om)
-    if zname in om.chart.variables:
-        raise GvError(f"variable {zname!r} already on the chart")
-    ext = om.chart.extend(zname)
+    ext = om.chart.extend(zname)  # which refuses a name already on the chart
     z = ext.var(zname)
     lift = [ext.var(v) for v in om.chart.variables]
     out = DiffForm.coordinate(ext, zname)
@@ -161,9 +156,7 @@ def from_extended_form(form: DiffForm, zname: str = "z") -> FormalOmega:
     each remaining coefficient must be polynomial in z (denominator free of
     z).  Raises otherwise.
     """
-    ext = form.chart
-    if form.degree != 1:
-        raise GvError("expected a 1-form")
+    ext = _require_one_forms("from_extended_form", form)
     zi = ext.index(zname)
     base = Chart(
         tuple(v for v in ext.variables if v != zname), ext.characteristic
@@ -208,8 +201,7 @@ class Substitution:
 
     def __init__(self, chart: Chart, coeffs: Sequence) -> None:
         _require(Chart, "Substitution chart", chart)
-        _require(Iterable, "Substitution coefficients", coeffs)
-        fs = [as_ratfn(chart, c) for c in coeffs]
+        fs = [as_ratfn(chart, c) for c in _as_tuple(coeffs, "Substitution coefficients")]
         if len(fs) < 2:
             raise GvError("a substitution needs at least a linear coefficient")
         if fs[1].is_zero():
@@ -230,8 +222,7 @@ class Substitution:
     @classmethod
     def normalized(cls, chart: Chart, tail: Sequence) -> "Substitution":
         """Build from (f_1, f_2, ...) with f_0 = 0."""
-        _require(Iterable, "Substitution coefficients", tail)
-        return cls(chart, [0, *tail])
+        return cls(chart, [0, *_as_tuple(tail, "Substitution coefficients")])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Substitution):
@@ -246,8 +237,7 @@ class Substitution:
 def compose_substitutions(s: Substitution, r: Substitution) -> Substitution:
     """The substitution z = s(r(u)), computed exactly."""
     _require(Substitution, "compose_substitutions", s, r)
-    if s.chart != r.chart:
-        raise ChartMismatch("substitutions on different charts")
+    _require_same_chart(s.chart, "compose_substitutions", r)
     chart = s.chart
     # exact polynomial composition in the formal variable
     result = [chart.zero()]
@@ -318,8 +308,7 @@ def substitute_series(
     """
     _require(FormalOmega, "substitute_series", om)
     _require(Substitution, "substitute_series", sub)
-    if om.chart != sub.chart:
-        raise ChartMismatch("series and substitution on different charts")
+    _require_same_chart(om.chart, "substitute_series", sub)
     chart = om.chart
     if upto is None:
         upto = om.last_index + 2

@@ -4,13 +4,21 @@ Each call below once escaped as a TypeError, AttributeError or ValueError
 from deep inside the library, or (`diff(-1)`, a bool taken as an order,
 index or seed, and a seed of None, which seeds from the OS) returned a
 wrong answer; every one must now raise a `GvError` subclass.
+
+The second half drives the whole boundary from the `SIGNATURES` table of
+tests/test_public_api.py: every public callable gets one valid call, and then
+each of its parameters in turn gets None, a str, a float, a `RatFn` on
+another chart and a 2-form, which must raise a `GvError` subclass too.
 """
 
 from __future__ import annotations
 
+import inspect
 from enum import IntEnum
 
 import pytest
+
+import gvcalc
 
 from gvcalc import (
     Chart,
@@ -20,8 +28,10 @@ from gvcalc import (
     MultiPoly,
     RatFn,
     VectorField,
+    as_ratfn,
     batch_integrating_factors,
     classify_structure,
+    d_of,
     dual_frame,
     exact_div,
     ext_d,
@@ -60,8 +70,11 @@ from gvcalc import (
     triple_verify,
     vf_pth_power,
     wedge,
+    wedge_all,
 )
-from gvcalc.zseries import compose_substitutions, is_formal_integrable, to_extended_form
+from gvcalc.zseries import compose_substitutions, from_extended_form, is_formal_integrable
+from gvcalc.zseries import to_extended_form
+from test_public_api import SIGNATURES  # every public name, None for an error class
 
 Q = Chart(("x", "y"))
 F3 = Chart(("x", "y"), 3)
@@ -189,6 +202,24 @@ BAD_CALLS = {
     "vf_pth_power(X, True)": lambda: vf_pth_power(FIELD3, True),
     "Chart(('x',), True)": lambda: Chart(("x",), True),
     "batch_integrating_factors(3, True, 1)": lambda: batch_integrating_factors(3, True, 1),
+    # a one-entry product returned the entry itself, and a float escaped
+    "wedge_all([5])": lambda: wedge_all([5]),
+    "wedge_all(1.5)": lambda: wedge_all(1.5),
+    "d_of(dx^dy)": lambda: d_of(wedge(DX, DiffForm.coordinate(Q, "y"))),
+    "FormalOmega(chart, 1.5)": lambda: FormalOmega(Q, 1.5),
+    "from_extended_form(None)": lambda: from_extended_form(None),
+    "as_ratfn(None, 1)": lambda: as_ratfn(None, 1),
+    "MultiPoly x.substitute(None)": lambda: X.substitute(None),
+    "MultiPoly x.substitute([1, 2])": lambda: X.substitute([1, 2]),
+    "x.substitute(None)": lambda: XF.substitute(None),
+    "x.substitute([1, 2])": lambda: XF.substitute([1, 2]),
+    "MultiPoly(chart, {5: 1})": lambda: MultiPoly(Q, {5: 1}),
+    "MultiPoly.monomial(chart, None)": lambda: MultiPoly.monomial(Q, None),
+    "x.degree_in(5)": lambda: X.degree_in(5),
+    "x.degree_in(1.5)": lambda: X.degree_in(1.5),
+    "x.coeff_of_power(5, 0)": lambda: X.coeff_of_power(5, 0),
+    "x.coeff_of_power(0, -1)": lambda: X.coeff_of_power(0, -1),
+    "x.coeff_of_power(0, True)": lambda: X.coeff_of_power(0, True),
 }
 
 
@@ -234,7 +265,145 @@ def test_an_int_subclass_other_than_bool_is_an_order():
 
 
 def test_a_negative_variable_index_is_not_a_variable():
-    """x.diff(-1) once read the packed degree field and returned x itself."""
+    """x.diff(-1) once read the packed degree field and returned x itself;
+    x.degree_in(-1) read it as degree 1, and x.coeff_of_power(-1, 0) as 0."""
     for f in (X, XF, F3.var("x")):
         with pytest.raises(GvError, match="no variable -1"):
             f.diff(-1)
+    for f in (X, MultiPoly.var(F3, "x")):
+        with pytest.raises(GvError, match="no variable -1"):
+            f.degree_in(-1)
+        with pytest.raises(GvError, match="no variable -1"):
+            f.coeff_of_power(-1, 0)
+        # a variable may be named, as in diff
+        assert f.degree_in("x") == f.degree_in(0) == 1
+        assert f.coeff_of_power("x", 1) == f.coeff_of_power(0, 1) == MultiPoly.const(f.chart, 1)
+
+
+# -- the whole boundary, driven by the public API table ---------------------
+
+# frozen records built by the library, which validate nothing
+REPORTS = {
+    "TripleReport",
+    "DefectReport",
+    "FlagReport",
+    "FiniteGVReport",
+    "AffineCertificate",
+    "ClosedKernelWitness",
+    "Inconclusive",
+    "PullbackReport",
+    "DualFrame",
+}
+
+ONE = MultiPoly.const(Q, 1)
+DY = DiffForm.coordinate(Q, "y")
+ZERO1 = DiffForm.zero(Q, 1)
+VX = VectorField.coordinate(Q, "x")
+W3 = DiffForm.one_form(F3, [1, F3.var("x")])  # dx + x dy, with factor 2/x over F_3
+FS3 = [F3.var("y")]
+
+# one valid call per public callable, every parameter given
+VALID_ARGS = {
+    "Chart": (("x", "y"), 0),
+    "MultiPoly": (Q, {(1, 0): 1}),
+    "RatFn": (X, ONE),
+    "as_ratfn": (Q, 1),
+    "exact_div": (X, X),
+    "poly_gcd": (X, X),
+    "poly_str": (X,),
+    "rf_normalize": (X, ONE),
+    "squarefree_decomposition": (X,),
+    "DiffForm": (Q, 1, {(0,): 1}),
+    "VectorField": (Q, [1, 0]),
+    "wedge": (DX, DY),
+    "wedge_all": ([DX, DY],),
+    "ext_d": (XF,),
+    "d_of": (XF,),
+    "interior": (VX, DX),
+    "form_apply": (DX, VX),
+    "lie_derivative": (VX, DX),
+    "is_integrable": (DX,),
+    "same_foliation": (DX, DX),
+    "pullback": ([XF, U], DX),
+    "form_str": (DX,),
+    "FormalOmega": (Q, [DX]),
+    "Substitution": (Q, [0, 1]),
+    "structure_defect": (OM, 0),
+    "structure_defects": (OM,),
+    "substitute_series": (OM, SUB, 2),
+    "Triple": (DX, ZERO1, ZERO1, "full"),
+    "triple_verify": (TRIPLE,),
+    "classify_structure": (DX, ZERO1, ZERO1),
+    "triple_gauge": (TRIPLE, "G", 1),
+    "triple_gauge_regular": (TRIPLE, 1, 0),
+    "riccati_triple": (DX, ZERO1, ZERO1, "z"),
+    "suspension_form": (TRIPLE,),
+    "GVSequence": ([DX], 1),
+    "gv_from_field": (DX, VX, 2),
+    "gv_verify": (SEQ,),
+    "gv_rescale": (SEQ, 2),
+    "gv_shift": (SEQ, U, 1),
+    "flag_forms": (CUBIC,),
+    "flag_decompose": (CUBIC, flag_forms(CUBIC)),
+    "gv_invariant": (CUBIC,),
+    "finite_gv_verify": (CUBIC,),
+    "finite_gv_classify": (CUBIC,),
+    "finite_gv_pullback": (CUBIC, CURVE.var("u"), 1),
+    "form_ratio": (DX, DX),
+    "dual_frame": (W3, FS3),
+    "vf_pth_power": (FIELD3, 3),
+    "integrating_factor": (W3, FS3),
+    "invariant_hypersurface_candidates": (F3.const(2) / F3.var("x"), W3),
+    "batch_integrating_factors": (3, 1, 1, ("x", "y"), 1),
+}
+
+WRONG = {
+    "None": None,
+    "str": "?",
+    "float": 1.5,
+    "other chart": Chart(("u", "v", "w")).var("u"),
+    "2-form": wedge(DX, DY),
+}
+
+# (callable, parameter): the wrong kinds that parameter accepts, since any
+# function is differentiated and a form of any degree is wedged, contracted,
+# pulled back, differentiated and printed
+ACCEPTED = {
+    ("ext_d", "a"): {"other chart", "2-form"},
+    ("d_of", "f"): {"other chart"},
+    ("wedge", "a"): {"2-form"},
+    ("wedge", "b"): {"2-form"},
+    ("interior", "a"): {"2-form"},
+    ("lie_derivative", "a"): {"2-form"},
+    ("pullback", "a"): {"2-form"},
+    ("form_str", "a"): {"2-form"},
+}
+
+CALLABLES = [name for name, sig in SIGNATURES.items() if sig is not None and name not in REPORTS]
+
+
+def test_every_public_callable_has_one_valid_call():
+    assert sorted(VALID_ARGS) == sorted(CALLABLES)
+    for name, args in VALID_ARGS.items():
+        getattr(gvcalc, name)(*args)
+
+
+def _wrong_calls():
+    for name in CALLABLES:
+        params = list(inspect.signature(getattr(gvcalc, name)).parameters.values())
+        assert len(params) == len(VALID_ARGS[name]), name
+        for i, param in enumerate(params):
+            for kind, value in WRONG.items():
+                if kind in ACCEPTED.get((name, param.name), ()):
+                    continue
+                if value is None and param.default is None:
+                    continue  # the parameter's own default
+                yield pytest.param(name, i, value, id=f"{name}:{param.name}={kind}")
+
+
+@pytest.mark.parametrize("name, position, value", _wrong_calls())
+def test_a_wrong_value_for_any_parameter_raises_a_typed_error(name, position, value):
+    args = list(VALID_ARGS[name])
+    args[position] = value
+    with pytest.raises(GvError):
+        getattr(gvcalc, name)(*args)

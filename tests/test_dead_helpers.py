@@ -6,7 +6,8 @@ imported name.  A helper whose last caller went away fails here.
 
 The single-class guards that once lived in their own modules were folded
 into `errors._require`; each such module now guards its class through that
-call and defines no guard of its own again.
+call and defines no guard of its own again.  The same holds for the 1-form
+guards, folded into `exterior._require_one_forms`.
 """
 
 import ast
@@ -65,17 +66,40 @@ RETIRED_GUARDS = [
 ]
 
 
-def require_classes(tree: ast.AST) -> set[str]:
-    """The class names passed first to `_require(...)` under a node."""
-    return {
-        node.args[0].id
+def calls(tree: ast.AST, name: str) -> list[ast.Call]:
+    """Every call of the plain name `name` under a node."""
+    return [
+        node
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "_require"
-        and node.args
-        and isinstance(node.args[0], ast.Name)
-    }
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+    ]
+
+
+def require_classes(tree: ast.AST) -> set[str]:
+    """The class names passed first to `_require(...)` under a node, alone or
+    in a tuple."""
+    out = set()
+    for node in calls(tree, "_require"):
+        if node.args:
+            first = node.args[0]
+            names = first.elts if isinstance(first, ast.Tuple) else [first]
+            out.update(n.id for n in names if isinstance(n, ast.Name))
+    return out
+
+
+def defined(tree: ast.AST) -> set[str]:
+    """The module-level function and class names of a module."""
+    return {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def module_tree(module: str) -> ast.AST:
+    (tree,) = [tree for path, tree in TREES.items() if path.name == module]
+    return tree
+
+
+def test_require_classes_reads_a_tuple():
+    tree = ast.parse("_require(A, 'a', x)\n_require((B, C), 'b', x)\nf(D)\n")
+    assert require_classes(tree) == {"A", "B", "C"}
 
 
 @pytest.mark.parametrize(
@@ -84,11 +108,20 @@ def require_classes(tree: ast.AST) -> set[str]:
     ids=[f"{module}:{guard}" for module, guard, _ in RETIRED_GUARDS],
 )
 def test_retired_guard_is_errors_require(module: str, guard: str, cls: str):
-    (tree,) = [tree for path, tree in TREES.items() if path.name == module]
-    defined = {
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-    }
-    assert guard not in defined, f"{module}: {guard} is back; use errors._require"
+    tree = module_tree(module)
+    assert guard not in defined(tree), f"{module}: {guard} is back; use errors._require"
     assert cls in require_classes(tree), f"{module} no longer guards {cls}"
+
+
+# (module, deleted 1-form guard): that module now takes its 1-forms through
+# `exterior._require_one_forms`
+RETIRED_FORM_GUARDS = [("transverse.py", "_check_form")]
+
+
+@pytest.mark.parametrize(
+    "module, guard", RETIRED_FORM_GUARDS, ids=[f"{m}:{g}" for m, g in RETIRED_FORM_GUARDS]
+)
+def test_retired_form_guard_is_require_one_forms(module: str, guard: str):
+    tree = module_tree(module)
+    assert guard not in defined(tree), f"{module}: {guard} is back; use _require_one_forms"
+    assert calls(tree, "_require_one_forms"), f"{module} no longer guards its 1-forms"
