@@ -35,10 +35,12 @@ denominator is a scalar and changes neither gcd nor divisibility.
 `_cofactors(a, b)` returns the monic gcd g with a/g and b/g, and every
 reduction of a fraction is one call to it.  Over Q the heuristic gcd
 (GCDHEU) runs on the numerators of both operands first: its trial divisions
-confirm the gcd and are the cofactors.  When it gives up, and always over
-F_p (on the residues), a primitive PRS runs, and the same dictionaries are
-divided by the gcd.  The monic gcd is unique, so it does not depend on the
-route.
+confirm the gcd and are the cofactors.  When it gives up, images mod a
+large prime may prove the numerators coprime; otherwise a primitive PRS
+runs.  Over F_p `_gcd_terms` works on the residues: a univariate Euclid,
+then images that may prove coprimality, then the same PRS.  The
+dictionaries are divided by the gcd.  The monic gcd is unique, so it does
+not depend on the route.
 
 All values are immutable after construction and every operation returns a new
 object, so instances can be shared freely between threads.
@@ -55,7 +57,7 @@ from typing import Union
 from .errors import ChartMismatch, GvError, ZeroDenominator, _require, _require_int
 from .errors import _require_same_chart
 from .intpoly import HALF, MASK, W, _add_terms, _diff_terms, _div_terms, _gcd_terms, _heu_gcd
-from .intpoly import _min_exp, _mul_terms, _pack, _times, _unpack, _var
+from .intpoly import _min_exp, _mul_terms, _pack, _times, _unpack, _var, _z_coprime
 
 Scalar = Union[Fraction, int]
 
@@ -138,19 +140,20 @@ def _coerce(chart: Chart, c) -> Scalar:
     """Normalize a coefficient into the chart's scalar domain.
 
     Over Q an int or a Fraction comes back as it is; over F_p the residue.
+    An int is taken by `errors._require_int`: a bool is refused, and another
+    int subclass comes back as a plain int.
     """
     p = chart.characteristic
-    if p == 0:
-        if isinstance(c, (int, Fraction)):
-            return c
-        raise GvError(f"bad coefficient {c!r} for characteristic 0")
+    if isinstance(c, int):
+        c = _require_int(c, "a coefficient", None)
+        return c % p if p else c
     if isinstance(c, Fraction):
+        if not p:
+            return c
         den = c.denominator % p
         if den == 0:
             raise ZeroDenominator(f"coefficient {c} has no residue mod {p}")
         return (c.numerator % p) * pow(den, p - 2, p) % p
-    if isinstance(c, int):
-        return c % p
     raise GvError(f"bad coefficient {c!r} for characteristic {p}")
 
 
@@ -574,8 +577,10 @@ def _cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiP
     A constant g comes back with a and b themselves.  The gcd and both
     divisions run on the numerators; over Q the primitive gcd h with leading
     coefficient lc gives g = h/lc, so a/g is (numerators of a)/h times lc
-    over the denominator of a.  Over Q `_heu_gcd` is tried first and the PRS
-    of `_gcd_terms` is its fallback; over F_p the PRS is the only route.
+    over the denominator of a.  Over Q `_heu_gcd` is tried first; when it
+    gives up, `_z_coprime` tries to prove the numerators coprime mod a prime,
+    and the PRS of `_gcd_terms` is the last resort.  Over F_p `_gcd_terms`
+    is the only route.
     """
     chart = a.chart
     ta, tb = a._ints, b._ints
@@ -590,6 +595,9 @@ def _cofactors(a: MultiPoly, b: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiP
         )
     p = chart.characteristic
     found = None if p else _heu_gcd(ta, tb, chart.dim)
+    if not (p or found) and _z_coprime(ta, tb):
+        # the PRS over Z can swell where the images mod a prime answer at once
+        return _one(chart), a, b
     # the heuristic gives the quotients by c*h; times c they are those by h
     c, h, qa, qb = found or (1, _gcd_terms(ta, tb, p), None, None)
     lc = h[max(h)]  # 1 over F_p, positive over Z

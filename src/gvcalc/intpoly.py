@@ -18,20 +18,25 @@ checks that bound on input and `_mul_terms` once per product, and both raise
 another key clears exactly the guards of the fields that would go negative,
 which tests divisibility of monomials in one step.
 
-The gcd has two routes.  Over Z, `_heu_gcd` (GCDHEU) tries first: it sets
+The gcd has three routes.  Over Z, `_heu_gcd` (GCDHEU) tries first: it sets
 the variable of the lowest field to a large integer, recurses down to
 `math.gcd`, reads a candidate back from balanced digits and keeps it only
-when trial division by it is exact; those quotients are the cofactors.  When
-it gives up, and always over F_p, the primitive PRS of `_gcd_terms` runs.
-It makes only the divisor primitive, folds the other operand's coefficients
-into the divisor's content until that reaches 1, and cancels a unit leading
-coefficient in place instead of scaling each pseudo-remainder.
+when trial division by it is exact; those quotients are the cofactors.  Over
+F_p, `_gcd_terms` answers from univariate images before any PRS: operands in
+one variable go to a dense Euclid (`_euclid`), whose monic gcd is the gcd
+itself, and `_coprime` proves most other gcds constant from the gcds of
+images at a few points.  When neither settles it, and over Z when GCDHEU
+gives up and the same test mod a large prime fails (`_z_coprime`), the
+primitive PRS of `_gcd_terms` runs.  It makes only the divisor primitive,
+folds the other operand's coefficients into the divisor's content until that
+reaches 1, and cancels a unit leading coefficient in place instead of
+scaling each pseudo-remainder.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 
 from .errors import GvError
@@ -40,6 +45,9 @@ W = 16  # bits per field
 HALF = 1 << W - 1  # the guard bit of the lowest field; every field stays below it
 MASK = (1 << W) - 1
 HEU_GCD_MAX = 6  # evaluation points GCDHEU tries before it gives up
+# primes below 2^31 for the coprimality test over Z, which takes the first
+# one that divides neither leading coefficient
+Z_PRIMES = (2147483647, 2147483629, 2147483587)
 
 
 def _pack(exp) -> int:
@@ -207,21 +215,147 @@ def _primitive(f: dict, s: int, u: int, p: int) -> tuple[dict, dict]:
     return _normal(_div_terms(f, content, p), p), content
 
 
+def _degrees(a: dict, b: dict) -> tuple[int, list[tuple[int, int, int]]]:
+    """(offset of the degree field, [(offset, degree in a, degree in b)] for
+    each variable field that occurs in a or b, lowest first) for nonzero term
+    dicts, one of them not constant."""
+    d = (max(max(a), max(b)).bit_length() - 1) // W * W
+    low = (reduce(or_, a) | reduce(or_, b)) & (1 << d) - 1
+    return d, [
+        (t, max(e >> t & MASK for e in a), max(e >> t & MASK for e in b))
+        for t in range(0, d, W)
+        if low >> t & MASK
+    ]
+
+
+def _euclid(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd over F_p of dense coefficient lists, highest power first;
+    the leading entry of a is nonzero, b may start with zeros or be zero."""
+    while True:
+        k = 0
+        while k < len(b) and not b[k]:
+            k += 1
+        if k == len(b):
+            inv = pow(a[0], p - 2, p)
+            return [c * inv % p for c in a] if inv != 1 else a
+        if k == len(b) - 1:
+            return [1]  # b is a nonzero constant
+        b = b[k:]
+        if len(a) < len(b):
+            a, b = b, a
+        inv = pow(b[0], p - 2, p)
+        if inv != 1:
+            b = [c * inv % p for c in b]
+        # the remainder of a by the monic b, its leading entries cancelled in turn
+        n = len(b)
+        r = a[:]
+        top = len(r) - n + 1
+        for i in range(top):
+            c = r[i]
+            if c:
+                for j in range(1, n):
+                    r[i + j] = (r[i + j] - c * b[j]) % p
+        a, b = b, r[top:]
+
+
+@lru_cache(maxsize=64)  # keyed by (characteristic, number of other variables)
+def _points(p: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Up to 8 distinct points of F_p^m.
+
+    Point i is the base-p digits of i q mod p^m, q = 1 + p + ... + p^(m-1);
+    q is a unit, so i = 1, 2, ... give distinct points, and the first p - 1
+    of them are the diagonal ones (i, ..., i).  The origin comes last, and
+    only when p^m <= 8.
+    """
+    n = p**m
+    q = (n - 1) // (p - 1)
+    return tuple(
+        tuple(i * q % n // p**k % p for k in range(m)) for i in range(1, min(8, n) + 1)
+    )
+
+
+def _image(f: dict, s: int, deg: int, point: list[tuple[int, int]], p: int) -> list[int]:
+    """The dense coefficients over F_p, highest power first, of f (of degree
+    deg in the variable at field offset s) with each other variable set by
+    `point`, a list of (field offset, value); an empty `point` when no other
+    variable occurs in f."""
+    out = [0] * (deg + 1)
+    for e, c in f.items():
+        for t, x in point:
+            k = e >> t & MASK
+            if k:
+                c *= x**k
+        out[deg - (e >> s & MASK)] += c
+    return [c % p for c in out]
+
+
+def _coprime(a: dict, b: dict, degs: list[tuple[int, int, int]], p: int) -> bool:
+    """True when images prove that nonzero term dicts a and b over F_p have a
+    constant gcd; False leaves the question open.  `degs` is the list of
+    `_degrees(a, b)`.
+
+    The gcd g has degree 0 in a variable that occurs in only one operand.
+    For each variable v that occurs in both, the other variables are set to
+    up to 8 distinct points (`_points`), skipping each point where the lead
+    of a in v vanishes.  At any other point the lead of g, a factor of that
+    lead, does not vanish either, so the image of g keeps its degree in v
+    and divides the gcd of the images.  A constant image gcd at such a point
+    gives deg_v g = 0, and once that holds for every v, g is constant.
+    Occurrence is tested field by field: the bitwise or of all keys cannot
+    tell y from y^2.
+    """
+    points = _points(p, len(degs) - 1)
+    for s, da, db in degs:
+        if not (da and db):
+            continue
+        others = [t for t, _, _ in degs if t != s]
+        for values in points:
+            point = list(zip(others, values))
+            image_a = _image(a, s, da, point, p)
+            # a zero image of b leaves the image of a, of positive degree
+            if image_a[0] and len(_euclid(image_a, _image(b, s, db, point, p), p)) == 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _z_coprime(a: dict, b: dict) -> bool:
+    """True when `_coprime` proves term dicts a and b over Z, neither of them
+    a monomial, coprime mod a prime that divides neither leading
+    coefficient; False leaves the question open.
+
+    Such a prime keeps the leading monomial of every factor of a: a common
+    factor g of a and b reduces to a common factor of the images with the
+    same leading monomial, so a constant gcd of the images makes g constant.
+    """
+    la, lb = a[max(a)], b[max(b)]
+    p = next((q for q in Z_PRIMES if la % q and lb % q), 0)
+    if not p:
+        return False
+    a = {e: c % p for e, c in a.items() if c % p}
+    b = {e: c % p for e, c in b.items() if c % p}
+    return _coprime(a, b, _degrees(a, b)[1], p)
+
+
 def _gcd_terms(a: dict, b: dict, p: int) -> dict:
     """A gcd of nonzero term dicts over Z (p = 0) or F_p, normalized by `_normal`.
 
-    Primitive PRS (W. S. Brown, J. ACM 18, 1971) in the occurring variable
-    of least degree in a and b (the last such variable on a tie).  Only the
-    operand b of lower degree in that variable is made primitive: a common
-    factor of a primitive b and prem(a, b) has no factor free of the
-    variable, so it divides a, and every later remainder is made primitive.
-    The content gcd starts from the content of b and folds in the
-    coefficients of a, smallest first, until it reaches 1; the content of a
-    is never formed.  A unit leading coefficient of b divides out of each
-    pseudo-remainder step instead of scaling the remainder.  Over Z the
-    integer contents of a and b are ignored: the result is primitive.  Over
-    Z it is the fallback of `_heu_gcd` and the reference its results are
-    tested against; over F_p it is the only route.
+    Over F_p, once the shared monomial is taken out, operands in one
+    variable go to the dense Euclid of `_euclid`, and any other pair that
+    `_coprime` proves coprime gives the shared monomial; neither needs the
+    PRS.  Otherwise, and always over Z, the primitive PRS (W. S. Brown,
+    J. ACM 18, 1971) runs in the occurring variable of least degree in a
+    and b (the last such variable on a tie).  Only the operand b of lower
+    degree in that variable is made primitive: a common factor of a
+    primitive b and prem(a, b) has no factor free of the variable, so it
+    divides a, and every later remainder is made primitive.  The content gcd
+    starts from the content of b and folds in the coefficients of a,
+    smallest first, until it reaches 1; the content of a is never formed.  A
+    unit leading coefficient of b divides out of each pseudo-remainder step
+    instead of scaling the remainder.  Over Z the integer contents of a and
+    b are ignored: the result is primitive.  Over Z it is the fallback of
+    `_heu_gcd` and the reference its results are tested against.
     """
     if len(a) == 1 or len(b) == 1:
         # every divisor of a monomial is a monomial
@@ -229,23 +363,30 @@ def _gcd_terms(a: dict, b: dict, p: int) -> dict:
     if a == b:
         return _normal(a, p)
     sa, sb = _min_exp(a), _min_exp(b)
-    shared = {_min_exp((sa, sb)): 1}
+    m = _min_exp((sa, sb))
+    shared = {m: 1}
     if sa:
         a = {e - sa: c for e, c in a.items()}
     if sb:
         b = {e - sb: c for e, c in b.items()}
+    d, degs = _degrees(a, b)
+    if p:
+        if len(degs) == 1:
+            # one variable: the monic gcd of Euclid is the gcd itself
+            ((s, ka, kb),) = degs
+            u = 1 << d | 1 << s
+            g = _euclid(_image(a, s, ka, [], p), _image(b, s, kb, [], p), p)
+            top = len(g) - 1
+            return {(top - k) * u + m: c for k, c in enumerate(g) if c}
+        if _coprime(a, b, degs, p):
+            return shared
     # the main variable is the occurring one of least max(deg_a, deg_b); a
     # high degree in the main variable swells the pseudo-remainders
-    d = (max(max(a), max(b)).bit_length() - 1) // W * W
-    low = (reduce(or_, a) | reduce(or_, b)) & (1 << d) - 1
     best = None
-    for t in range(0, d, W):
-        if low >> t & MASK:
-            ka = max(e >> t & MASK for e in a)
-            kb = max(e >> t & MASK for e in b)
-            # fields run from the last variable up, so ties keep the last one
-            if best is None or max(ka, kb) < best:
-                best, s, swap = max(ka, kb), t, ka < kb
+    for t, ka, kb in degs:
+        # fields run from the last variable up, so ties keep the last one
+        if best is None or max(ka, kb) < best:
+            best, s, swap = max(ka, kb), t, ka < kb
     if swap:
         a, b = b, a
     u = 1 << d | 1 << s

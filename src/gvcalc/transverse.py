@@ -128,7 +128,10 @@ def classify_structure(
     the affine pair relations, "projective" when the triple verifies under
     either convention, and "none" otherwise.  This classifies the given
     certificate only; it is not a decision procedure for the foliation.
+    A w2 without a w1 raises GvError.
     """
+    if w1 is None and w2 is not None:
+        raise GvError("classify_structure: w2 is given without w1")
     _require_one_forms("classify_structure", w0, *(w for w in (w1, w2) if w is not None))
     if w0.is_zero():
         raise ZeroFunction("w0 must be nonzero")

@@ -193,6 +193,8 @@ BAD_CALLS = {
     # a 2-form and a str as w1/w2 once classified as "none" and "euclidean"
     "classify_structure(dz + z du, du^dz)": lambda: classify_structure(DZ + DU * Z, wedge(DU, DZ)),
     "classify_structure(dz, 'x')": lambda: classify_structure(DZ, "x"),
+    # a w2 without a w1 was ignored, which classified as "none"
+    "classify_structure(dz + z du, None, du)": lambda: classify_structure(DZ + DU * Z, None, DU),
     # bool is refused wherever an int is taken
     "x ** True": lambda: XF**True,
     "MultiPoly x ** True": lambda: X**True,
@@ -202,6 +204,9 @@ BAD_CALLS = {
     "vf_pth_power(X, True)": lambda: vf_pth_power(FIELD3, True),
     "Chart(('x',), True)": lambda: Chart(("x",), True),
     "batch_integrating_factors(3, True, 1)": lambda: batch_integrating_factors(3, True, 1),
+    # a bool coefficient was the scalar 1: the constant 1, and the polynomial x
+    "as_ratfn(chart, True)": lambda: as_ratfn(Q, True),
+    "MultiPoly(chart, {(1, 0): True})": lambda: MultiPoly(Q, {(1, 0): True}),
     # a one-entry product returned the entry itself, and a float escaped
     "wedge_all([5])": lambda: wedge_all([5]),
     "wedge_all(1.5)": lambda: wedge_all(1.5),

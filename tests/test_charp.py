@@ -31,12 +31,15 @@ from gvcalc import (
     batch_integrating_factors,
     d_of,
     dual_frame,
+    exact_div,
     ext_d,
     form_apply,
     integrating_factor,
     invariant_hypersurface_candidates,
+    poly_gcd,
     pullback,
     vf_pth_power,
+    wedge,
     wedge_all,
 )
 from gvcalc.charp import _cleared, _closed_identity, _common_denominator, _default_frame_functions
@@ -357,6 +360,29 @@ class TestIntegratingFactor:
     def test_probe_form_factor_is_pinned(self, i) -> None:
         assert _digest(integrating_factor(_probe_form(i))) == PROBE_FACTOR_SHA256[i]
 
+    @pytest.mark.parametrize("i", [11, 20, 23])
+    def test_stalled_probe_form_finishes(self, i) -> None:
+        # these ran past 10 s in the PRS of the F_7 gcd, which proved large
+        # contraction numerators coprime to small kernel denominators; the
+        # digest was first taken when they finished, so d(f w) = 0 checks it
+        w = _probe_form(i)
+        f = _within(10, lambda: integrating_factor(w))
+        assert _digest(f) == PROBE_FACTOR_SHA256[i]
+        assert _closed_as_polynomials(w, f)
+
+    @pytest.mark.parametrize("i", [0, 2, 4, 8])
+    def test_polynomial_closedness_rejects_a_non_factor(self, i) -> None:
+        # the check behind the stalled forms can fail: a p-th power multiple
+        # of a factor is a factor, another multiple is not; forms 0 and 4
+        # take its Leibniz identity, forms 2 and 8 its p-th power branch
+        w = _probe_form(i)
+        f = integrating_factor(w)
+        x = w.chart.var("x")
+        p = w.chart.characteristic
+        assert _closed_as_polynomials(w, f)
+        assert _closed_as_polynomials(w, f * (x + 1) ** p)
+        assert not _closed_as_polynomials(w, f * (x + 1))
+
     def test_probe_form_17_is_certified(self) -> None:
         # its factor comes in about 1.5 s; the unsplit certificate, which
         # multiplied the factor's numerator into every term, ran past 30 s
@@ -377,7 +403,9 @@ class TestIntegratingFactor:
 
 
 # sha256 of str(integrating_factor(_probe_form(i))), captured before the
-# form was cleared once for the integrability test and the frame
+# form was cleared once for the integrability test and the frame; forms 11,
+# 20 and 23 were captured once the F_p gcd answered from univariate images,
+# before which they did not finish
 PROBE_FACTOR_SHA256 = {
     0: "909561a36425ba2e3bac710aea5af65756d322213effda81b49d92a87b052387",
     1: "a31210b7aff48d4950afe08d484fa40b9900aa355214a1303c55d25a6b4e755a",
@@ -387,15 +415,50 @@ PROBE_FACTOR_SHA256 = {
     8: "2759859d5f5409af5cfbcaedaae893dc03287179f190bafd3a992de352ded188",
     9: "2a96772e33cfb1cb01558dd0852f0c58f17bcc2c5d81c1252a32bbe16ca40233",
     10: "f102784e207c80511cc77d986a527eac68288baae84e6bce727f13616adcf4c1",
+    11: "7716e3f7dd95bb7fb2eb286243131fe01257766d1cfa5b9a47d0be71cdfb4442",
     16: "77d171dc4ca0b9215e369b186aef593cb68ea74b5e61f6ec71895f63f82a39c8",
     17: "2ee510ca49dd5a70d68be6ae68930c42794fe81f0a7e9afc3ac2413d3ae1280c",
     18: "b1942e672bc81b58f090a74d8c2929d2421612b0b6403c1f411e26846e6d7a09",
+    20: "da546f5f56724a2f774eab9af26420ff7e4493fd4b5aad912b4816d2fc1df795",
+    23: "f7ded9616c4592959cbacd3e9518c46e3f2215327c484aa196e800891431d01d",
     27: "63939db38c4ddde1dd933a686129cebd773983dd08f942d30c4ddaf6fd3f7518",
 }
 
 
 def _digest(f: RatFn) -> str:
     return hashlib.sha256(str(f).encode()).hexdigest()
+
+
+def _closed_as_polynomials(w: DiffForm, f: RatFn) -> bool:
+    """d(f w) = 0, tested on polynomial forms through the public API alone.
+
+    `ext_d(w * f)` normalizes rational coefficients of thousands of terms:
+    it takes 23 s on the factor of probe form 20, and on those of forms 11
+    and 23 it stalls in gcds that are not constant.  Here w = W/B, with B
+    the lcm of its denominators, and f = P/N.  When P B^k is a p-th power
+    R^p for some k < p, f w = R^p W/M with M = N B^(k+1), and d(R^p) = 0
+    leaves M dW - dM ^ W = 0.  Otherwise the test is Leibniz's
+    D dP ^ W + P (D dW - dD ^ W) = 0 with D = N B.
+    """
+    chart = w.chart
+
+    def d(g: MultiPoly) -> DiffForm:
+        return ext_d(DiffForm.from_function(RatFn.from_poly(g)))
+
+    B = MultiPoly.const(chart, 1)
+    for c in w.coeffs():
+        B = exact_div(B * c.den, poly_gcd(B, c.den))
+    W = w * RatFn.from_poly(B)
+    P, N = f.num, f.den
+    pth = P
+    for k in range(chart.characteristic):
+        if all(pth.diff(v).is_zero() for v in range(chart.dim)):
+            M = N * B ** (k + 1)
+            return (ext_d(W) * RatFn.from_poly(M) - wedge(d(M), W)).is_zero()
+        pth = pth * B
+    D = RatFn.from_poly(N * B)
+    e = ext_d(W) * D - wedge(d(D.num), W)
+    return (wedge(d(P), W) * D + e * RatFn.from_poly(P)).is_zero()
 
 
 def _within(seconds: int, call):

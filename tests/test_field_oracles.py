@@ -13,6 +13,8 @@ scalar shortcuts of `RatFn` with its general path.  The kernels on packed
 monomial keys are compared with the same loops on exponent tuples, and every
 stored key is checked to be a well-formed packing of its exponents.  Over Q
 the heuristic gcd is compared with the PRS it falls back to, and with sympy.
+Over F_p the routes that answer before the PRS, a univariate Euclid and a
+coprimality proof from univariate images, are compared with sympy too.
 """
 
 from __future__ import annotations
@@ -1119,26 +1121,130 @@ PROBE22_DENOMINATOR = [
 ]
 
 
-def test_f5_gcd_runs_in_the_variable_of_least_degree():
+def probe22_gcd(p: int) -> MultiPoly:
+    """poly_gcd of the probe form 22 pair over F_p (or Q for p = 0), under a 2 s alarm."""
+
     def stalled(signum, frame):
         raise TimeoutError("the probe form 22 gcd took over 2 s")
 
+    chart = Chart(VARIABLES, p)
+    a, b = (
+        MultiPoly(chart, {t[:3]: t[3] for t in terms})
+        for terms in (PROBE22_NUMERATOR, PROBE22_DENOMINATOR)
+    )
+    assert (len(a.terms), len(b.terms)) == (272, 17)
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(2)
+    try:
+        return poly_gcd(a, b)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_f5_gcd_runs_in_the_variable_of_least_degree(monkeypatch):
+    # over F_5 images prove the pair coprime before the PRS, so they are
+    # turned off to time the PRS itself; over Q the heuristic gcd answers
+    monkeypatch.setattr(intpoly, "_coprime", lambda *args: False)
     for p in (5, 0):
-        chart = Chart(VARIABLES, p)
-        a, b = (
-            MultiPoly(chart, {t[:3]: t[3] for t in terms})
-            for terms in (PROBE22_NUMERATOR, PROBE22_DENOMINATOR)
-        )
-        assert (len(a.terms), len(b.terms)) == (272, 17)
-        previous = signal.signal(signal.SIGALRM, stalled)
-        signal.alarm(2)
-        try:
-            # over Q the heuristic gcd answers before the PRS
-            g = poly_gcd(a, b)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert g == MultiPoly.const(chart, 1)
+        assert probe22_gcd(p) == MultiPoly.const(Chart(VARIABLES, p), 1)
+
+
+def test_z_prs_fallback_is_preceded_by_a_coprimality_proof(monkeypatch):
+    # with GCDHEU giving up, the Z PRS ran past 20 s on the Q probe-22 pair;
+    # its images mod a large prime prove it coprime at once
+    monkeypatch.setattr(field, "_heu_gcd", lambda *args: None)
+    assert probe22_gcd(0) == MultiPoly.const(Chart(VARIABLES), 1)
+
+
+def test_z_coprimality_skips_primes_that_divide_a_lead():
+    chart = Chart(VARIABLES[:2])
+    x, y = (MultiPoly.var(chart, v) for v in VARIABLES[:2])
+    q0, q1, q2 = intpoly.Z_PRIMES
+    # the lead q0 x^2 rules q0 out, and q0 q1 x^2 rules out q1 too
+    for lead in (q0, q0 * q1):
+        a, b = lead * x**2 + y, x + y
+        assert intpoly._z_coprime(a._ints, b._ints)
+    # every prime divides one of the leads: the test leaves the question open
+    a, b = q0 * q1 * x**2 + y, q2 * x + y
+    assert not intpoly._z_coprime(a._ints, b._ints)
+    # a shared factor is never proved coprime, not even q0 x + 1, which is 1
+    # mod q0: there the images x + y and x - y are coprime
+    for c in (x * y + 3, q0 * x + 1):
+        assert not intpoly._z_coprime(((x + y) * c)._ints, ((x - y) * c)._ints)
+
+
+# -- the F_p gcd routes before the PRS against sympy ---------------------------
+#
+# Over F_p, `_gcd_terms` answers operands in one variable by a dense Euclid
+# and proves most coprime pairs from univariate images before any PRS.  Both
+# routes are compared with sympy's gcd over GF(p) on coprime pairs, pairs
+# with a planted common factor and univariate pairs, and each route is seen
+# to answer some of them.
+
+
+def spied(monkeypatch, name: str) -> list:
+    """The results of every call of `intpoly.<name>` from now on."""
+    results = []
+    real = getattr(intpoly, name)
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(intpoly, name, spy)
+    return results
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("p", PRIMES[1:])
+def test_fp_gcd_routes_agree_with_sympy(p, dim, monkeypatch):
+    proofs, euclids = spied(monkeypatch, "_coprime"), spied(monkeypatch, "_euclid")
+
+    @SETTINGS
+    @given(
+        nonconstant(p, max_terms=5, max_exp=3, dim=dim),
+        nonconstant(p, max_terms=5, max_exp=3, dim=dim),
+        nonconstant(p, max_terms=3, max_exp=2, dim=dim),
+    )
+    def check(a, b, c):
+        check_gcd(a, b)
+        check_gcd(a * c, b * c)
+
+    check()
+    assert euclids
+    if dim > 1:
+        assert True in proofs and False in proofs
+
+
+def test_unlucky_points_fall_back_to_the_prs(monkeypatch):
+    # over F_2 the lead x(x + 1) of a in y vanishes at both points of F_2, so
+    # no image proves deg_y gcd = 0 and the PRS answers; the later calls
+    # come from the PRS itself
+    proofs = spied(monkeypatch, "_coprime")
+    chart = Chart(VARIABLES[:2], 2)
+    x, y = (MultiPoly.var(chart, v) for v in VARIABLES[:2])
+    a, b = x * (x + 1) * y + 1, y + x
+    for c in (MultiPoly.const(chart, 1), x * y + 1, y**2 + x + 1):
+        proofs.clear()
+        assert poly_gcd(a * c, b * c) == c
+        assert proofs[0] is False
+        check_gcd(a * c, b * c)
+
+
+def test_occurrence_is_tested_field_by_field():
+    # y occurs in 2 + 2y and in 1 + 2y^2 = (1 + y)(1 - y) over F_3, but the
+    # bitwise or of their keys shares no bit in the y field; with x in both,
+    # x alone would have been tested and the pair declared coprime
+    for names in (VARIABLES[1:2], VARIABLES[:2]):
+        chart = Chart(names, 3)
+        y = MultiPoly.var(chart, "y")
+        a, b = 2 + 2 * y, 1 + 2 * y**2
+        if len(names) == 2:
+            x = MultiPoly.var(chart, "x")
+            a, b = a * (x + 1), b * (x + 2)
+        check_gcd(a, b)
+        assert poly_gcd(a, b) == y + 1
 
 
 # -- the PRS against the one that made both operands primitive ----------------
