@@ -40,7 +40,6 @@ from .errors import (
     GvError,
     NotIntegrable,
     PClosedCase,
-    ZeroDenominator,
     ZeroFunction,
     _require,
     _require_int,
@@ -54,15 +53,15 @@ from .exterior import (
     d_of,
     ext_d,
     is_integrable,
-    pullback,
 )
 from .field import (
+    _UNIT,
     Chart,
     MultiPoly,
     RatFn,
     _cofactors,
-    _drop_variable,
     _one,
+    _over_one,
     as_ratfn,
     exact_div,
     squarefree_decomposition,
@@ -140,9 +139,15 @@ def _common_denominator(
 
 
 def _cleared(w: DiffForm) -> tuple[DiffForm, MultiPoly]:
-    """(W, B) with w = W/B, W a polynomial 1-form and B the monic lcm of w's denominators."""
+    """(W, B) with w = W/B, W a polynomial 1-form and B the monic lcm of w's
+    denominators; a polynomial w is its own W, over B = 1."""
+    chart = w.chart
+    one = _one(chart)
+    if all(c.den._ints == _UNIT for c in w.terms.values()):
+        return w, one
     wnums, wden = _common_denominator(list(w.coeffs()))
-    return DiffForm.one_form(w.chart, wnums), wden
+    terms = {(i,): _over_one(n, one) for i, n in enumerate(wnums) if not n.is_zero()}
+    return DiffForm._raw(chart, 1, terms), wden
 
 
 def _det(rows: list[list[MultiPoly]], chart: Chart) -> MultiPoly:
@@ -387,31 +392,61 @@ def integrating_factor(w: DiffForm, fs: Optional[Sequence] = None) -> RatFn:
     raise PClosedCase("every kernel p-th power contracts to zero; the kernel is p-closed")
 
 
-def _restriction_vanishes(g: MultiPoly, w: DiffForm) -> bool:
-    """Whether w pulls back to zero on the hypersurface g = 0.
+def _graph_values(
+    polys: Sequence[MultiPoly], j: int, a: MultiPoly, nb: MultiPoly
+) -> list[MultiPoly]:
+    """Each c in polys on the graph x_j = nb/a, times a^m: sum_i c_i nb^i a^(m-i)
+    for c = sum_i c_i x_j^i, with m the largest degree in x_j among polys.
 
-    Only factors linear in some variable are attempted: the hypersurface
-    is then the graph x_j = -b/a and the restriction is an exact pullback.
-    Factors with no linear variable, and graphs running inside the polar
-    locus of w, are reported as unverified.
+    The values share the denominator a^m, so their polynomial relations are
+    those of the restrictions; none of them involves x_j.
     """
-    chart = g.chart
-    for j, name in enumerate(chart.variables):
+    chart = a.chart
+    m = max(0, *(c.degree_in(j) for c in polys))
+    apow, bpow = [_one(chart)], [_one(chart)]
+    for _ in range(m):
+        apow.append(apow[-1] * a)
+        bpow.append(bpow[-1] * nb)
+    weights = [bpow[i] * apow[m - i] for i in range(m + 1)]
+    zero = MultiPoly._raw(chart, {})
+    return [
+        reduce(add, (c.coeff_of_power(j, i) * weights[i] for i in range(c.degree_in(j) + 1)), zero)
+        for c in polys
+    ]
+
+
+def _restriction_vanishes(g: MultiPoly, cleared: tuple[DiffForm, MultiPoly]) -> bool:
+    """Whether w = W/B pulls back to zero on the hypersurface g = 0.
+
+    `cleared` is (W, B) from `_cleared(w)`.  Only factors linear in some
+    variable x_j are attempted: g = a x_j + b is then the graph x_j = phi
+    with phi = nb/a, nb = -b, and a polynomial c restricts to c~/a^m (see
+    `_graph_values`).  The pullback of w is sum_{k != j} (W_k(phi) +
+    W_j(phi) d_k phi)/B(phi) dx_k, and d_k phi = (a d_k nb - nb d_k a)/a^2,
+    so it vanishes exactly when a^2 W~_k + W~_j (a d_k nb - nb d_k a) = 0
+    for every k != j: a polynomial test on the chart of g, with no new
+    chart and no rational function.  A graph with B~ = 0 runs inside the
+    polar locus of w and is skipped for the next linear variable.  Factors
+    with no such variable are reported as unverified.
+    """
+    W, B = cleared
+    n = g.chart.dim
+    for j in range(n):
         if g.degree_in(j) != 1:
             continue
-        if chart.dim == 1:
+        if n == 1:
             # the zero locus is a point and carries no 1-forms
             return True
-        rest = tuple(n for n in chart.variables if n != name)
-        source = Chart(rest, chart.characteristic)
-        a = RatFn.from_poly(_drop_variable(g.coeff_of_power(j, 1), j, source))
-        b = RatFn.from_poly(_drop_variable(g.coeff_of_power(j, 0), j, source))
-        graph = -(b / a)
-        phi = [graph if n == name else source.var(n) for n in chart.variables]
-        try:
-            return pullback(phi, w).is_zero()
-        except ZeroDenominator:
+        a, nb = g.coeff_of_power(j, 1), -g.coeff_of_power(j, 0)
+        if not B.is_constant() and _graph_values([B], j, a, nb)[0].is_zero():
             continue
+        ws = _graph_values([c.num for c in W.coeffs()], j, a, nb)
+        a2, wj = a * a, ws[j]
+        return all(
+            (a2 * wk + wj * (a * nb.diff(k) - nb * a.diff(k))).is_zero()
+            for k, wk in enumerate(ws)
+            if k != j
+        )
     return False
 
 
@@ -425,10 +460,14 @@ def invariant_hypersurface_candidates(
     divisible by p, and each polar component is invariant wherever w is
     regular.  The returned factors come from an exact squarefree sieve of
     the numerator and denominator of F, so each entry is squarefree and
-    primitive but not certified irreducible.  Factors linear in some
-    variable get the restriction checked by exact substitution and carry
-    True; the rest carry False rather than a guess.  The zero function
-    raises ZeroFunction: d(0*w) = 0 would pass the certificate vacuously.
+    primitive but not certified irreducible.  A part whose partials all
+    vanish is a p-th power, every multiplicity in it is divisible by p, and
+    it is not sieved.  w is cleared once to W/B: the closedness certificate
+    and every restriction test run on the same polynomials.  Factors linear
+    in some variable get the restriction checked by the polynomial graph
+    test of `_restriction_vanishes` and carry True or False; the rest carry
+    False rather than a guess.  The zero function raises ZeroFunction:
+    d(0*w) = 0 would pass the certificate vacuously.
     """
     _require(RatFn, "invariant_hypersurface_candidates", factor)
     chart = _require_one_forms("invariant_hypersurface_candidates", w)
@@ -438,20 +477,25 @@ def invariant_hypersurface_candidates(
     _require_same_chart(chart, "invariant_hypersurface_candidates", factor)
     if factor.is_zero():
         raise ZeroFunction("the zero function is not an integrating factor")
-    if not _closed_identity(factor, _cleared(w)):
+    cleared = _cleared(w)
+    if not _closed_identity(factor, cleared):
         raise GvError("the function is not an integrating factor of the form")
+    parts = [
+        f for f in (factor.num, factor.den)
+        if any(not f.diff(v).is_zero() for v in range(chart.dim))
+    ]
     # for coprime P/Q, d(P/Q) = 0 exactly when dP = dQ = 0
-    if all(f.diff(v).is_zero() for f in (factor.num, factor.den) for v in range(chart.dim)):
+    if not parts:
         raise GvError(
             "the integrating factor is a p-th power; its logarithmic "
             "differential vanishes and the polar sieve is empty"
         )
     out: list[tuple[MultiPoly, bool]] = []
-    for poly in (factor.num, factor.den):
+    for poly in parts:
         for g, mult in squarefree_decomposition(poly):
             if mult % p == 0:
                 continue
-            out.append((g, _restriction_vanishes(g, w)))
+            out.append((g, _restriction_vanishes(g, cleared)))
     return out
 
 

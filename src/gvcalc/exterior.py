@@ -79,12 +79,14 @@ class DiffForm:
 
     @classmethod
     def zero(cls, chart: Chart, degree: int) -> "DiffForm":
-        return cls(chart, degree, {})
+        _require(Chart, "DiffForm chart", chart)
+        return cls._raw(chart, _require_int(degree, "the form degree"), {})
 
     @classmethod
     def from_function(cls, f: RatFn) -> "DiffForm":
         _require((RatFn, MultiPoly), "a 0-form", f)
-        return cls(f.chart, 0, {(): f})
+        f = as_ratfn(f.chart, f)
+        return cls._raw(f.chart, 0, {} if f.is_zero() else {(): f})
 
     @classmethod
     def coordinate(cls, chart: Chart, name: str) -> "DiffForm":
@@ -483,8 +485,13 @@ def lie_derivative(x: VectorField, a) -> "DiffForm | RatFn":
 
 
 def is_integrable(omega: DiffForm) -> bool:
-    """Whether a 1-form satisfies omega ^ d(omega) = 0."""
-    _require_one_forms("is_integrable", omega)
+    """Whether a 1-form satisfies omega ^ d(omega) = 0.
+
+    On a chart of dimension at most 2 the 3-form omega ^ d(omega) vanishes
+    identically, so d(omega) is not computed there.
+    """
+    if _require_one_forms("is_integrable", omega).dim <= 2:
+        return True
     return wedge(omega, ext_d(omega)).is_zero()
 
 

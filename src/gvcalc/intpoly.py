@@ -296,13 +296,13 @@ def _coprime(a: dict, b: dict, degs: list[tuple[int, int, int]], p: int) -> bool
 
     The gcd g has degree 0 in a variable that occurs in only one operand.
     For each variable v that occurs in both, the other variables are set to
-    up to 8 distinct points (`_points`), skipping each point where the lead
-    of a in v vanishes.  At any other point the lead of g, a factor of that
-    lead, does not vanish either, so the image of g keeps its degree in v
-    and divides the gcd of the images.  A constant image gcd at such a point
-    gives deg_v g = 0, and once that holds for every v, g is constant.
-    Occurrence is tested field by field: the bitwise or of all keys cannot
-    tell y from y^2.
+    up to 8 distinct points (`_points`), skipping each point where the leads
+    of a and b in v both vanish.  At any other point the lead of g, a factor
+    of both leads, does not vanish either, so the image of g keeps its
+    degree in v and divides the gcd of the images.  A constant image gcd at
+    such a point gives deg_v g = 0, and once that holds for every v, g is
+    constant.  Occurrence is tested field by field: the bitwise or of all
+    keys cannot tell y from y^2.
     """
     points = _points(p, len(degs) - 1)
     for s, da, db in degs:
@@ -311,9 +311,15 @@ def _coprime(a: dict, b: dict, degs: list[tuple[int, int, int]], p: int) -> bool
         others = [t for t, _, _ in degs if t != s]
         for values in points:
             point = list(zip(others, values))
-            image_a = _image(a, s, da, point, p)
-            # a zero image of b leaves the image of a, of positive degree
-            if image_a[0] and len(_euclid(image_a, _image(b, s, db, point, p), p)) == 1:
+            image_a, image_b = _image(a, s, da, point, p), _image(b, s, db, point, p)
+            # the image whose lead survives goes first; the other may be zero
+            if image_a[0]:
+                g = _euclid(image_a, image_b, p)
+            elif image_b[0]:
+                g = _euclid(image_b, image_a, p)
+            else:
+                continue
+            if len(g) == 1:
                 break
         else:
             return False

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_field_oracles import polys, to_sympy
 
@@ -27,6 +27,7 @@ from gvcalc import (
     PClosedCase,
     RatFn,
     VectorField,
+    ZeroDenominator,
     ZeroFunction,
     batch_integrating_factors,
     d_of,
@@ -38,11 +39,18 @@ from gvcalc import (
     invariant_hypersurface_candidates,
     poly_gcd,
     pullback,
+    squarefree_decomposition,
     vf_pth_power,
     wedge,
     wedge_all,
 )
-from gvcalc.charp import _cleared, _closed_identity, _common_denominator, _default_frame_functions
+from gvcalc.charp import (
+    _cleared,
+    _closed_identity,
+    _common_denominator,
+    _default_frame_functions,
+    _restriction_vanishes,
+)
 from gvcalc.exterior import _FormSum
 from gvcalc.field import _gauss_jordan
 
@@ -754,6 +762,101 @@ def test_pth_power_test_agrees_with_partials(p):
             invariant_hypersurface_candidates(factor, w)
 
     check()
+
+
+def rational_restriction(g: MultiPoly, w: DiffForm) -> tuple[bool, bool]:
+    """(verdict, polar) of the rational route that `_restriction_vanishes`
+    replaced: for the first variable x_j in which g is linear and whose graph
+    x_j = -b/a the public `pullback` can take, whether w pulls back to zero;
+    ZeroDenominator (the graph lies in the polar locus) moves on to the next
+    such variable and, with none left, means False.  polar tells whether
+    some graph raised ZeroDenominator."""
+    chart = g.chart
+    polar = False
+    for j, name in enumerate(chart.variables):
+        if g.degree_in(j) != 1:
+            continue
+        if chart.dim == 1:
+            return True, polar
+        source = Chart(tuple(n for n in chart.variables if n != name), chart.characteristic)
+        drop = [source.zero() if n == name else source.var(n) for n in chart.variables]
+        a, b = (g.coeff_of_power(j, k).substitute(drop) for k in (1, 0))
+        phi = [-(b / a) if n == name else source.var(n) for n in chart.variables]
+        try:
+            return pullback(phi, w).is_zero(), polar
+        except ZeroDenominator:
+            polar = True
+    return False, polar
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_restriction_test_agrees_with_the_rational_pullback(p, dim):
+    # g = a x_j + b, with a and b free of x_j.  w = (h dg + g eta)/s is
+    # planted invariant on g = 0 when s is coprime to g, (eta + r dg)/(g s)
+    # has g in its denominator, and a generic form usually does not restrict
+    # to zero
+    small = polys(p, max_terms=3, max_exp=2, dim=dim)
+    nonzero = small.filter(lambda f: not f.is_zero())
+    seen = {"invariant": 0, "polar": 0, "generic": 0, True: 0, False: 0}
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, dim - 1), nonzero, small, st.data())
+    def check(j, a, b, data):
+        chart = a.chart
+        a, b = a.coeff_of_power(j, 0), b.coeff_of_power(j, 0)
+        assume(not a.is_zero())
+        g = a * MultiPoly.var(chart, chart.variables[j]) + b
+        dg = d_of(RatFn.from_poly(g))
+        eta = DiffForm.one_form(chart, [data.draw(small) for _ in range(dim)])
+        h, r, s = data.draw(small), data.draw(small), data.draw(nonzero)
+        generic = DiffForm.one_form(chart, [RatFn(data.draw(small), s) for _ in range(dim)])
+        cases = {
+            "invariant": (dg * RatFn.from_poly(h) + eta * RatFn.from_poly(g)) / RatFn.from_poly(s),
+            "polar": (eta + dg * RatFn.from_poly(r)) / RatFn.from_poly(g * s),
+            "generic": generic,
+        }
+        for kind, w in cases.items():
+            expected, polar = rational_restriction(g, w)
+            assert _restriction_vanishes(g, _cleared(w)) is expected
+            seen[kind] += kind != "polar" or polar
+            seen[expected] += 1
+            if kind == "invariant" and poly_gcd(g, s).is_constant():
+                # w is regular along the graph, and h dg + g eta restricts to 0
+                assert expected
+
+    check()
+    assert seen["invariant"] and seen["polar"] and seen["generic"]
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sieve_skips_pth_power_parts(p):
+    # F = q^p / a or a / q^p is an integrating factor of dg / F; the sieve
+    # of a p-th power part returns only multiplicities divisible by p, so
+    # skipping it must leave the filtered full sieve unchanged
+    small = polys(p, max_terms=3, max_exp=2)
+    nonzero = small.filter(lambda f: not f.is_constant())
+    pth_parts = 0
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(nonzero, nonzero, small.filter(lambda f: not f.is_zero()), st.booleans())
+    def check(q, a, g, flip):
+        nonlocal pth_parts
+        factor = RatFn(q**p, a)
+        if flip:
+            factor = factor.inv()
+        chart = factor.chart
+        parts = (factor.num, factor.den)
+        flat = [all(f.diff(v).is_zero() for v in range(chart.dim)) for f in parts]
+        assume(not all(flat))
+        w = d_of(RatFn.from_poly(g) + chart.var("x")) * factor.inv()
+        expected = [h for f in parts for h, m in squarefree_decomposition(f) if m % p]
+        assert [h for h, _ in invariant_hypersurface_candidates(factor, w)] == expected
+        pth_parts += any(flat[i] and not parts[i].is_constant() for i in range(2))
+
+    check()
+    assert pth_parts
 
 
 class TestCandidates:

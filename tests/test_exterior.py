@@ -5,8 +5,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_field_oracles import SETTINGS, polys
 
-from gvcalc import Chart, GvError, ZeroDenominator, ZeroFunction
+from gvcalc import Chart, GvError, RatFn, ZeroDenominator, ZeroFunction
 from gvcalc.exterior import (
     DiffForm,
     VectorField,
@@ -217,6 +220,52 @@ class TestIntegrability:
         f = C3.var("x") + C3.var("y") * C3.var("z")
         g = C3.var("z") + 1
         assert is_integrable(ext_d(f) * g)
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
+    def test_low_dimensions_skip_the_derivative(self, p):
+        # on one or two variables w ^ dw is a 3-form and vanishes identically;
+        # the argument is still checked, and three variables still compute
+        @SETTINGS
+        @given(st.integers(1, 2), st.data())
+        def check(dim, data):
+            chart = Chart(("x", "y")[:dim], p)
+            nums = polys(p, max_terms=3, max_exp=2, dim=dim)
+            dens = polys(p, max_terms=2, max_exp=1, dim=dim).filter(lambda f: not f.is_zero())
+            coeffs = [RatFn(data.draw(nums), data.draw(dens)) for _ in range(dim)]
+            w = DiffForm.one_form(chart, coeffs)
+            assert is_integrable(w) is True
+            assert wedge(w, ext_d(w)).is_zero()
+            with pytest.raises(GvError):
+                is_integrable(DiffForm.from_function(coeffs[0]))
+            if dim == 2:
+                with pytest.raises(GvError):
+                    is_integrable(ext_d(w))
+
+        check()
+        chart = Chart(("x", "y", "z"), p)
+        contact = DiffForm.one_form(chart, [chart.zero(), chart.var("x"), chart.one()])
+        assert is_integrable(contact) is False
+
+
+class TestInternalConstructors:
+    def test_zero_keeps_its_checks(self):
+        assert DiffForm.zero(C2, 1) == DiffForm(C2, 1, {})
+        assert DiffForm.zero(C2, 5) == DiffForm(C2, 5, {})
+        for degree in (-1, True, 1.0, "1", None):
+            with pytest.raises(GvError):
+                DiffForm.zero(C2, degree)
+        with pytest.raises(GvError):
+            DiffForm.zero(("x", "y"), 1)
+
+    def test_from_function_matches_the_validating_constructor(self):
+        x = C2.var("x")
+        for f in (x / (C2.var("y") + 1), x.num, C2.zero(), C2.zero().num):
+            built = DiffForm.from_function(f)
+            assert built == DiffForm(C2, 0, {(): f})
+            assert all(isinstance(c, RatFn) for c in built.terms.values())
+        for f in (None, 1, Fraction(1, 2), "x", dx(C2, "x")):
+            with pytest.raises(GvError):
+                DiffForm.from_function(f)
 
 
 class TestSameFoliation:

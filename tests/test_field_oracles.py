@@ -1218,18 +1218,30 @@ def test_fp_gcd_routes_agree_with_sympy(p, dim, monkeypatch):
 
 
 def test_unlucky_points_fall_back_to_the_prs(monkeypatch):
-    # over F_2 the lead x(x + 1) of a in y vanishes at both points of F_2, so
-    # no image proves deg_y gcd = 0 and the PRS answers; the later calls
-    # come from the PRS itself
+    # over F_2 the leads x(x + 1) of a and of b in y vanish at both points of
+    # F_2, so no image proves deg_y gcd = 0 and the PRS answers; the later
+    # calls come from the PRS itself
     proofs = spied(monkeypatch, "_coprime")
     chart = Chart(VARIABLES[:2], 2)
     x, y = (MultiPoly.var(chart, v) for v in VARIABLES[:2])
-    a, b = x * (x + 1) * y + 1, y + x
+    a, b = x * (x + 1) * y + 1, x * (x + 1) * y + x + 1
     for c in (MultiPoly.const(chart, 1), x * y + 1, y**2 + x + 1):
         proofs.clear()
         assert poly_gcd(a * c, b * c) == c
         assert proofs[0] is False
         check_gcd(a * c, b * c)
+
+
+def test_a_point_where_only_the_lead_of_b_survives_proves_coprimality(monkeypatch):
+    # over F_2 the lead x(x + 1) of a in y vanishes at both points of F_2,
+    # but the lead 1 of b = y + x does not, and the gcd's lead divides it
+    proofs = spied(monkeypatch, "_coprime")
+    chart = Chart(VARIABLES[:2], 2)
+    x, y = (MultiPoly.var(chart, v) for v in VARIABLES[:2])
+    a, b = x * (x + 1) * y + 1, y + x
+    assert poly_gcd(a, b) == MultiPoly.const(chart, 1)
+    assert proofs[0] is True
+    check_gcd(a, b)
 
 
 def test_occurrence_is_tested_field_by_field():
