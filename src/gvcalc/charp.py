@@ -62,6 +62,7 @@ from .field import (
     _cofactors,
     _one,
     _over_one,
+    _power_products,
     as_ratfn,
     exact_div,
     squarefree_decomposition,
@@ -401,14 +402,9 @@ def _graph_values(
     The values share the denominator a^m, so their polynomial relations are
     those of the restrictions; none of them involves x_j.
     """
-    chart = a.chart
     m = max(0, *(c.degree_in(j) for c in polys))
-    apow, bpow = [_one(chart)], [_one(chart)]
-    for _ in range(m):
-        apow.append(apow[-1] * a)
-        bpow.append(bpow[-1] * nb)
-    weights = [bpow[i] * apow[m - i] for i in range(m + 1)]
-    zero = MultiPoly._raw(chart, {})
+    weights = _power_products(nb, a, m)
+    zero = MultiPoly._raw(a.chart, {})
     return [
         reduce(add, (c.coeff_of_power(j, i) * weights[i] for i in range(c.degree_in(j) + 1)), zero)
         for c in polys

@@ -15,7 +15,10 @@ graded-lex order and every canonical choice below (leading terms, gcd
 normalization, printing) is a `max` or a sort of keys.  Exponent tuples exist
 only at the boundary: the constructor packs them, `leading()` and printing
 unpack, and `MultiPoly.terms` is a read-only view that unpacks each key, with
-`fractions.Fraction` values over Q and residues over F_p.
+`fractions.Fraction` values over Q and residues over F_p.  A polynomial moves
+onto its chart extended by one last variable by shifting every key up one
+field (`_append_variable`), which keeps the order, so canonical parts stay
+canonical; `_drop_variable` takes a variable of degree zero off again.
 
 Rational functions are stored normalized: numerator and denominator coprime,
 denominator monic.  Two equal rational functions therefore have identical
@@ -535,6 +538,21 @@ def _drop_variable(f: MultiPoly, v: int, target: Chart) -> MultiPoly:
     low = (1 << _var(f.chart.dim, v)[0]) - 1
     # the fields above x_v move down one field
     return MultiPoly._raw(target, {e >> W & ~low | e & low: c for e, c in f._ints.items()}, f._den)
+
+
+def _append_variable(f: MultiPoly, target: Chart) -> MultiPoly:
+    """Transfer a polynomial onto its chart extended by one last variable."""
+    # every field moves up one, and the new lowest field, x_n, is 0
+    return MultiPoly._raw(target, {e << W: c for e, c in f._ints.items()}, f._den)
+
+
+def _power_products(a: MultiPoly, b: MultiPoly, m: int) -> list[MultiPoly]:
+    """[a^i b^(m-i) for i = 0 .. m], from one table of powers of each."""
+    apow, bpow = [_one(a.chart)], [_one(a.chart)]
+    for _ in range(m):
+        apow.append(apow[-1] * a)
+        bpow.append(bpow[-1] * b)
+    return [apow[i] * bpow[m - i] for i in range(m + 1)]
 
 
 def _cleared_terms(polys: Sequence[MultiPoly]) -> list[dict]:

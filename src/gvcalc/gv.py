@@ -60,7 +60,8 @@ from .exterior import (
     wedge,
     wedge_all,
 )
-from .field import Chart, MultiPoly, RatFn, _as_tuple, _cleared_terms, _gauss_jordan, as_ratfn
+from .field import Chart, MultiPoly, RatFn, _as_tuple, _cleared_terms, _gauss_jordan
+from .field import _power_products, as_ratfn
 from .zseries import (
     FormalOmega,
     Substitution,
@@ -405,10 +406,8 @@ def gv_from_field(
         forms.append(nxt)
         if declared is None and nxt.is_zero():
             declared = k
-    if declared is not None:
-        # a vanishing derivative kills the entire tail
-        return GVSequence(forms, declared)
-    return GVSequence(forms)
+    # a vanishing derivative kills the entire tail; None leaves the length open
+    return GVSequence(forms, declared)
 
 
 def gv_verify(s: GVSequence) -> DefectReport:
@@ -767,6 +766,7 @@ def finite_gv_classify(
     expresses the remaining lower columns as multiples g_k of the top one,
     and branches on the kernel multipliers g_k.
     """
+    _require(GVSequence, "finite_gv_classify", s)
     n, t = _verified_order(s, "classification")
     chart = s.chart
     top = t.forms[n]
@@ -857,16 +857,10 @@ def _express_in_powers(
     Clearing denominators turns the condition into a linear system over the
     rationals, one equation per monomial, solved exactly.
     """
-    chart = q.chart
-    a, b = base.num, base.den
     u, v = q.num, q.den
-    apow = [MultiPoly.const(chart, 1)]
-    bpow = [MultiPoly.const(chart, 1)]
-    for _ in range(degree):
-        apow.append(apow[-1] * a)
-        bpow.append(bpow[-1] * b)
-    polys = [apow[i] * bpow[degree - i] * v for i in range(degree + 1)]
-    polys.append(u * bpow[degree])
+    weights = _power_products(base.num, base.den, degree)
+    polys = [w * v for w in weights]
+    polys.append(u * weights[0])
     # every equation times the common denominator: integer coefficients
     cols = _cleared_terms(polys)
     rows = [[Fraction(c.get(m, 0)) for c in cols] for m in sorted(set().union(*cols))]
@@ -896,6 +890,7 @@ def finite_gv_pullback(
     degree in the witness (try a larger bound), and GcdDegenerate when the
     exponent bookkeeping collapses.
     """
+    _require(GVSequence, "finite_gv_pullback", s)
     n, t = _verified_order(s, "pullback analysis")
     degree = _require_int(degree, "the degree bound")
     chart = s.chart

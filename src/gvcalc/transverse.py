@@ -16,7 +16,9 @@ carries its convention tag explicitly and all operations respect it.
 A HALF triple is the factorial-weighted sequence [w0, w1, w2] of
 `zseries.FormalOmega` cut off at length 3, and its three relations are that
 sequence's structure defects of orders 0, 1 and 2; `triple_verify` checks
-them there.
+them there.  `riccati_triple` moves its base forms onto the product chart as
+`to_extended_form` does, by `zseries._lifted`, which shifts the packed keys of
+their coefficients (`field._append_variable`); no map is pulled back.
 
 Degenerate tails recover the shorter structures: w2 = 0 leaves a
 transversely affine pair (d w0 = w0 /\ w1, d w1 = 0 whenever the triple
@@ -29,9 +31,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import GaugeBreaksRelations, GvError, ZeroFunction, _require
-from .exterior import DiffForm, _require_one_forms, ext_d, pullback, wedge
-from .field import Chart, RatFn, as_ratfn
-from .zseries import FormalOmega, structure_defect
+from .exterior import DiffForm, _require_one_forms, ext_d, wedge
+from .field import Chart, as_ratfn
+from .zseries import FormalOmega, _lifted, structure_defect
 
 __all__ = [
     "Triple",
@@ -207,45 +209,27 @@ def triple_gauge(t: Triple, kind: str, fn) -> Triple:
     raise GvError(f"unknown gauge move {kind!r}; expected 'F' or 'G'")
 
 
-def _with_fiber(chart: Chart, name: str) -> tuple[Chart, list[RatFn]]:
-    """Extend a chart by a fresh fiber variable.
-
-    Returns the product chart and the projection map (as target-coordinate
-    functions on it) used to lift forms from the base.
-    """
-    fiber = name
-    k = 0
-    while fiber in chart.variables:
-        fiber = f"{name}{k}"
-        k += 1
-    product = chart.extend(fiber)
-    proj = [product.var(v) for v in chart.variables]
-    return product, proj
-
-
 def riccati_triple(
     alpha: DiffForm, beta: DiffForm, gamma: DiffForm, fiber: str = "z"
 ) -> Triple:
     """The projective triple of dz + alpha + beta z + gamma z^2 = 0.
 
     The input forms live on a base chart; the output lives on the product
-    chart with one extra fiber variable and satisfies the FULL relations.
+    chart with one extra fiber variable, named `fiber`, or `fiber` followed
+    by 0, 1, ... when that name is taken, and satisfies the FULL relations.
     When gamma = 0 the pair (w0, w1) is already a transversely affine
     certificate.
     """
     chart = _require_one_forms("riccati_triple", alpha, beta, gamma)
-    product, proj = _with_fiber(chart, fiber)
-    a = pullback(proj, alpha)
-    b = pullback(proj, beta)
-    c = pullback(proj, gamma)
-    z = product.var(product.variables[-1])
-    dz = DiffForm.coordinate(product, product.variables[-1])
-    w0 = dz + a + b * z + c * (z * z)
-    w1 = b + c * (2 * z)
-    w2 = c
-    out = Triple(w0, w1, w2, FULL)
-    report = triple_verify(out)
-    if not report.ok:
+    name, k = fiber, 0
+    while name in chart.variables:
+        name, k = f"{fiber}{k}", k + 1
+    product = chart.extend(name)
+    a, b, c = (_lifted(w, product) for w in (alpha, beta, gamma))
+    z = product.var(name)
+    dz = DiffForm.coordinate(product, name)
+    out = Triple(dz + a + b * z + c * (z * z), b + c * (2 * z), c, FULL)
+    if not triple_verify(out).ok:
         raise GvError("riccati triple failed its own structure relations")
     return out
 
@@ -258,6 +242,7 @@ def suspension_form(t: Triple) -> FormalOmega:
     HALF triple.  Omega /\\ dOmega = 0 exactly when the triple relations
     hold, so a triple that fails `triple_verify` raises GvError.
     """
+    _require(Triple, "suspension_form", t)
     if not triple_verify(t).ok:
         raise GvError(
             "the suspension is not integrable; the triple relations fail"

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .errors import GvError, VanishingLeadCoefficient, ZeroDenominator
 from .errors import _require, _require_int, _require_same_chart
-from .field import Chart, MultiPoly, RatFn, _as_tuple, _drop_variable, as_ratfn
+from .field import Chart, MultiPoly, RatFn, _append_variable, _as_tuple, _drop_variable, as_ratfn
 from .exterior import DiffForm, _FormSum, _require_one_forms, ext_d
 
 
@@ -130,22 +130,23 @@ def is_formal_integrable(om: FormalOmega) -> bool:
     return all(structure_defect(om, k).is_zero() for k in _defect_orders(om))
 
 
+def _lifted(w: DiffForm, ext: Chart) -> DiffForm:
+    """A form on a base chart as a form on the base chart extended by one
+    last variable, which it does not involve."""
+    lift = {idx: RatFn._raw(_append_variable(c.num, ext), _append_variable(c.den, ext))
+            for idx, c in w.terms.items()}
+    return DiffForm._raw(ext, w.degree, lift)
+
+
 def to_extended_form(om: FormalOmega, zname: str = "z") -> DiffForm:
     """The 1-form dz + sum z^k/k! w_k on the chart extended by z."""
     _require(FormalOmega, "to_extended_form", om)
     ext = om.chart.extend(zname)  # which refuses a name already on the chart
     z = ext.var(zname)
-    lift = [ext.var(v) for v in om.chart.variables]
-    out = DiffForm.coordinate(ext, zname)
-    zpow = ext.one()
+    out = DiffForm._raw(ext, 1, {(om.chart.dim,): ext.one()})
     for k, w in enumerate(om.coeffs):
         if not w.is_zero():
-            scale = zpow * _inv_factorial(om.chart, k)
-            lifted = DiffForm(
-                ext, 1, {idx: c.substitute(lift) for idx, c in w.terms.items()}
-            )
-            out = out + lifted * scale
-        zpow = zpow * z
+            out = out + _lifted(w, ext) * (z**k * _inv_factorial(om.chart, k))
     return out
 
 
@@ -238,23 +239,13 @@ def compose_substitutions(s: Substitution, r: Substitution) -> Substitution:
     """The substitution z = s(r(u)), computed exactly."""
     _require(Substitution, "compose_substitutions", s, r)
     _require_same_chart(s.chart, "compose_substitutions", r)
-    chart = s.chart
-    # exact polynomial composition in the formal variable
-    result = [chart.zero()]
-    power = [chart.one()]
-    for k, fk in enumerate(s.coeffs):
-        if k > 0:
-            upto = len(power) + len(r.coeffs) - 2  # the untruncated product
-            power = _convolve(power, r.coeffs, upto)
-        if fk.is_zero():
-            continue
-        for i, c in enumerate(power):
-            while len(result) <= i:
-                result.append(chart.zero())
-            result[i] = result[i] + fk * c
-    while len(result) < 2:
-        result.append(chart.zero())
-    return Substitution(chart, result)
+    # Horner's scheme in the formal variable: (...(s_m r + s_{m-1}) r + ...) r + s_0
+    result = [s.coeffs[-1]]
+    for fk in reversed(s.coeffs[:-1]):
+        upto = len(result) + len(r.coeffs) - 2  # the untruncated product
+        result = _convolve(result, r.coeffs, upto)
+        result[0] = result[0] + fk
+    return Substitution(s.chart, result)
 
 
 def _convolve(a: Sequence[RatFn], b: Sequence[RatFn], upto: int) -> list[RatFn]:

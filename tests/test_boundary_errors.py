@@ -155,6 +155,7 @@ BAD_CALLS = {
     "GVSequence.omega(True)": lambda: CUBIC.omega(True),
     "GVSequence(forms, True)": lambda: GVSequence([DX], True),
     "finite_gv_pullback(s, u, True)": lambda: finite_gv_pullback(CUBIC, CURVE.var("u"), True),
+    "finite_gv_pullback(None, 1, 2)": lambda: finite_gv_pullback(None, 1, 2),
     "form_ratio(None, dx)": lambda: form_ratio(None, DX),
     "form_ratio(dx, None)": lambda: form_ratio(DX, None),
     "form_ratio(dx, 5)": lambda: form_ratio(DX, 5),
@@ -232,6 +233,21 @@ BAD_CALLS = {
 def test_bad_argument_raises_a_typed_error(call):
     with pytest.raises(GvError):
         call()
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("suspension_form", "suspension_form(None)"),
+        ("finite_gv_classify", "finite_gv_classify(None)"),
+        ("finite_gv_pullback", "finite_gv_pullback(None, 1, 2)"),
+    ],
+)
+def test_a_wrong_type_is_reported_by_the_function_called(name, call):
+    # these once reported the check they delegate to (`triple_verify`,
+    # `finite_gv_verify`) instead of their own name
+    with pytest.raises(GvError, match=name):
+        BAD_CALLS[call]()
 
 
 class Order(IntEnum):

@@ -8,10 +8,12 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_exterior_oracles import chart_id, forms, polys
+from test_exterior_oracles import chart_id, forms, polys, ratfns
 
 from gvcalc import Chart, GvError, RatFn, VanishingLeadCoefficient
-from gvcalc.exterior import DiffForm, ext_d, is_integrable, wedge
+from gvcalc.exterior import DiffForm, ext_d, is_integrable, pullback, wedge
+from gvcalc.field import _append_variable, _drop_variable
+from gvcalc.transverse import Triple, riccati_triple, triple_verify
 from gvcalc.zseries import (
     FormalOmega,
     Substitution,
@@ -19,6 +21,7 @@ from gvcalc.zseries import (
     from_extended_form,
     is_formal_integrable,
     structure_defect,
+    _lifted,
     substitute_series,
     to_extended_form,
 )
@@ -303,5 +306,157 @@ def test_substitute_series_matches_the_form_convolution(chart, polynomial, basep
         ours = substitute_series(om, sub, upto)
         expected = substitute_series_reference(om, sub, upto)
         assert [str(w) for w in ours.coeffs] == [str(w) for w in expected]
+
+    check()
+
+
+# -- the lift onto the fiber chart, against the rational routes it replaced ----
+
+
+def fresh_fiber(chart: Chart) -> str:
+    """z, or z0, z1, ... when the base chart already holds the name."""
+    fiber, k = "z", 0
+    while fiber in chart.variables:
+        fiber, k = f"z{k}", k + 1
+    return fiber
+
+
+def moved_reference(w: DiffForm, ext: Chart) -> DiffForm:
+    """w on the extended chart, by `substitute` on the base coordinates."""
+    coords = [ext.var(v) for v in w.chart.variables]
+    return DiffForm(ext, w.degree, {idx: c.substitute(coords) for idx, c in w.terms.items()})
+
+
+def extended_form_reference(om: FormalOmega, zname: str) -> DiffForm:
+    """dz + sum z^k/k! w_k, each w_k moved by `moved_reference`."""
+    ext = om.chart.extend(zname)
+    z = ext.var(zname)
+    out = DiffForm.coordinate(ext, zname)
+    for k, w in enumerate(om.coeffs):
+        out = out + moved_reference(w, ext) * (z**k * Fraction(1, factorial(k)))
+    return out
+
+
+def riccati_reference(alpha: DiffForm, beta: DiffForm, gamma: DiffForm) -> Triple:
+    """The FULL triple of dz + a + b z + c z^2, with a, b, c the pullbacks of
+    alpha, beta, gamma along the projection of the product chart."""
+    chart = alpha.chart
+    product = chart.extend(fresh_fiber(chart))
+    fiber = product.variables[-1]
+    proj = [product.var(v) for v in chart.variables]
+    a, b, c = (pullback(proj, w) for w in (alpha, beta, gamma))
+    z, dz = product.var(fiber), DiffForm.coordinate(product, fiber)
+    return Triple(dz + a + b * z + c * (z * z), b + c * (2 * z), c)
+
+
+LIFT_CHARTS = [
+    Chart(names, p)
+    for p in (0, 5)
+    for names in (("x",), ("z",), ("x", "y"), ("z", "z0"), ("x", "z", "y"), ("z0", "x", "z"))
+]
+
+
+def lift_inputs(chart: Chart):
+    """Three 1-forms with `ratfns` coefficients, or three multiples
+    (c + c' f) df of one differential, which satisfy the Riccati relations."""
+    f = ratfns(chart).filter(lambda f: not ext_d(f).is_zero())
+    units = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if chart.characteristic:
+        units = st.integers(0, chart.characteristic - 1)
+    parallel = st.builds(
+        lambda f, cs: [ext_d(f) * (cs[i] + cs[i + 1] * f) for i in (0, 2, 4)],
+        f,
+        st.lists(units, min_size=6, max_size=6),
+    )
+    return st.one_of(st.lists(forms(chart, 1), min_size=3, max_size=3), parallel)
+
+
+def test_fresh_fiber_skips_the_names_on_the_chart():
+    assert [fresh_fiber(c) for c in LIFT_CHARTS[:4]] == ["z", "z0", "z", "z1"]
+    x = Chart(("z", "z0")).var("z")
+    dz = DiffForm.coordinate(x.chart, "z")
+    assert riccati_triple(dz * x, dz, dz).chart.variables == ("z", "z0", "z1")
+
+
+@pytest.mark.parametrize("chart", LIFT_CHARTS, ids=chart_id)
+def test_lift_agrees_with_substitute_and_pullback(chart):
+    """The packed-key lift gives the extended form of `substitute`, the
+    Riccati triple of `pullback`, and `_drop_variable` takes it back."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(lift_inputs(chart))
+    def check(ws):
+        fiber = fresh_fiber(chart)
+        ext = chart.extend(fiber)
+        for w in ws:
+            assert _lifted(w, ext) == moved_reference(w, ext)
+            for c in w.terms.values():
+                for part in (c.num, c.den):
+                    lifted = _append_variable(part, ext)
+                    assert lifted.chart == ext and lifted.degree_in(fiber) == 0
+                    assert _drop_variable(lifted, chart.dim, chart) == part
+        om = FormalOmega(chart, ws)
+        ours = to_extended_form(om, fiber)
+        assert ours == extended_form_reference(om, fiber)
+        assert str(ours) == str(extended_form_reference(om, fiber))
+        if chart.characteristic:
+            with pytest.raises(GvError):  # projective triples need characteristic 0
+                riccati_triple(*ws)
+            return
+        expected = riccati_reference(*ws)
+        if triple_verify(expected).ok:
+            assert str(riccati_triple(*ws)) == str(expected)
+            assert riccati_triple(*ws) == expected
+        else:
+            with pytest.raises(GvError):
+                riccati_triple(*ws)
+
+    check()
+
+
+# -- Horner composition, against the sum of powers -----------------------------
+
+
+def composition_reference(s: Substitution, r: Substitution) -> list[RatFn]:
+    """sum_k s_k r^k in the formal variable, from plain `RatFn` products."""
+    zero = s.chart.zero()
+    total, power = [zero], [s.chart.one()]
+    for k, sk in enumerate(s.coeffs):
+        if k:
+            product = [zero] * (len(power) + len(r.coeffs) - 1)
+            for i, a in enumerate(power):
+                for j, b in enumerate(r.coeffs):
+                    product[i + j] = product[i + j] + a * b
+            power = product
+        total += [zero] * (len(power) - len(total))
+        total = [t + sk * c for t, c in zip(total, power)]
+    return total
+
+
+def substitutions(chart: Chart):
+    """f_0 != 0, a nonzero f_1 and up to two more entries, with fractional
+    coefficients from `ratfns`."""
+    nonzero = ratfns(chart).filter(lambda f: not f.is_zero())
+    return st.builds(
+        lambda f0, f1, tail: Substitution(chart, [f0, f1, *tail]),
+        nonzero,
+        nonzero,
+        st.lists(ratfns(chart), max_size=2),
+    )
+
+
+@pytest.mark.parametrize("chart", [C2, Chart(("x", "y"), 7)], ids=chart_id)
+def test_compose_agrees_with_the_sum_of_powers(chart):
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(substitutions(chart), substitutions(chart))
+    def check(s, r):
+        expected = composition_reference(s, r)
+        if expected[1].is_zero():
+            with pytest.raises(VanishingLeadCoefficient):
+                compose_substitutions(s, r)
+            return
+        ours = compose_substitutions(s, r)
+        assert ours == Substitution(chart, expected)
+        assert repr(ours) == repr(Substitution(chart, expected))
 
     check()
